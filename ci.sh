@@ -14,6 +14,10 @@ cargo test -q --offline --workspace
 cargo test -q --offline --benches -p simsearch-bench
 cargo test -q --offline --bench ablation_lcp_reuse -p simsearch-bench
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# The served benchmark (perfbench/, a workspace of its own) builds
+# against core's and serve's public API; its tests are the step that
+# notices when a refactor of those crates breaks it.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 # Planner-parity gate: `--backend auto` (static and calibrated) must be
 # byte-identical to the V1 oracle scan under every executor × thread

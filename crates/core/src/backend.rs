@@ -7,25 +7,30 @@
 //! abstraction they all speak now: *prepare once, then answer
 //! threshold queries* — with provided methods for DP-cell counting,
 //! top-k deepening, workload execution under any executor, cost hints
-//! for the planner, and self-description for diagnostics.
+//! for the planner, self-description for diagnostics, and capability
+//! methods (replanning, calibration persistence, mutation) that default
+//! to "no planner, not mutable".
 //!
-//! [`AutoBackend`] closes the loop: it consults a
-//! [`Planner`](crate::planner::Planner) per query and routes to the
-//! cheapest arm, counting every routing decision so serving metrics
-//! and bench JSON can report `plan_decisions`.
+//! `RoutingCore` is the one planner-driven router: a planner slot,
+//! lazily built owned arms, routing counters and an [`ObservationGrid`],
+//! with the dataset passed in on every call. [`AutoBackend`] is that
+//! core over a borrowed dataset; each frozen shard of a
+//! [`crate::sharded::ShardedBackend`] is the same core over an owned
+//! sub-dataset.
 
+use crate::lsm::MutableBackend;
 use crate::planner::{
     static_cost, BackendChoice, CellSample, Observation, PlanDecision, Planner, QueryClass,
     MAX_K_CLASS, MIN_CELL_OBSERVATIONS, NUM_LEN_CLASSES,
 };
 use crate::topk;
 use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
-use simsearch_data::{Alphabet, Dataset, Match, MatchSet, StatsSnapshot, Workload};
+use simsearch_data::{Alphabet, Dataset, Match, MatchSet, SortedView, StatsSnapshot, Workload};
 use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
 use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, SuffixIndex, Trie};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
-use simsearch_scan::{SeqVariant, SequentialScan};
+use simsearch_scan::{v7_search_view, v8_search_view, SeqVariant, SequentialScan};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
@@ -128,6 +133,46 @@ pub trait Backend: Send + Sync {
         None
     }
 
+    /// Planner capability: one self-tuning tick over the backend's own
+    /// observations. `Some(swaps)` — decision tables swapped in this
+    /// tick, 0 while the grids are too thin or nothing changed — for
+    /// planner-driven backends; `None` for fixed ones.
+    fn replan_tick(&self) -> Option<u64> {
+        None
+    }
+
+    /// Planner capability: accepted decision-table swaps since build
+    /// (summed over shards); `None` for fixed backends.
+    fn plan_epoch_total(&self) -> Option<u64> {
+        None
+    }
+
+    /// Pooled observed nanoseconds per arm name from the backend's
+    /// observation grids (summed over shards) — the `STATS` `arm_nanos`
+    /// registry; `None` when the backend times no routed arm.
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        None
+    }
+
+    /// Calibration-persistence capability: the planner whose measured
+    /// table is worth saving across restarts; `None` when the backend
+    /// has no persistable calibration.
+    fn calibration(&self) -> Option<Arc<Planner>> {
+        None
+    }
+
+    /// Installs a restored calibrated planner (the counterpart of
+    /// [`Backend::calibration`]); `false` when refused or unsupported.
+    fn restore_calibration(&self, _planner: Planner) -> bool {
+        false
+    }
+
+    /// Mutation capability: the `INSERT`/`DELETE`/compaction surface
+    /// when the backend accepts writes; `None` when it is frozen.
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        None
+    }
+
     /// The executor [`Backend::run_workload`] uses by default.
     fn preferred_strategy(&self) -> Strategy {
         Strategy::Sequential
@@ -151,10 +196,9 @@ pub trait Backend: Send + Sync {
 
 /// Shared handles are backends too: an `Arc<T>` forwards every method
 /// (including the provided ones, so `T`'s overrides are never shadowed
-/// by the trait defaults). This is what lets a live engine be owned
-/// simultaneously by the serving layer's mutation path and a sharded
-/// composite's read fan-out without a bespoke wrapper per consumer.
-impl<T: Backend + ?Sized> Backend for std::sync::Arc<T> {
+/// by the trait defaults) — capabilities included, so a shared engine
+/// handle keeps its planner and mutation surface.
+impl<T: Backend + ?Sized> Backend for Arc<T> {
     fn name(&self) -> String {
         (**self).name()
     }
@@ -194,6 +238,30 @@ impl<T: Backend + ?Sized> Backend for std::sync::Arc<T> {
 
     fn shard_stats(&self) -> Option<Vec<crate::sharded::ShardStats>> {
         (**self).shard_stats()
+    }
+
+    fn replan_tick(&self) -> Option<u64> {
+        (**self).replan_tick()
+    }
+
+    fn plan_epoch_total(&self) -> Option<u64> {
+        (**self).plan_epoch_total()
+    }
+
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        (**self).arm_nanos()
+    }
+
+    fn calibration(&self) -> Option<Arc<Planner>> {
+        (**self).calibration()
+    }
+
+    fn restore_calibration(&self, planner: Planner) -> bool {
+        (**self).restore_calibration(planner)
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        (**self).as_mutable()
     }
 
     fn preferred_strategy(&self) -> Strategy {
@@ -357,21 +425,31 @@ impl<'a> FilteredScanBackend<'a> {
     /// frequency vectors over DNA symbols (DNA corpora) or vowels (the
     /// paper's city-name choice).
     pub fn new(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        let dna = Alphabet::dna();
-        let tracked = if dataset.records().all(|r| dna.covers(r)) {
-            DNA_SYMBOLS
-        } else {
-            VOWEL_SYMBOLS
-        };
-        let chain = FilterChain::new()
-            .push(LengthFilter::build(dataset))
-            .push(FrequencyFilter::build(dataset, tracked));
         Self {
             scan: SequentialScan::new(dataset),
-            chain,
+            chain: standard_chain(dataset),
             strategy,
         }
     }
+}
+
+/// The symbols frequency vectors track for `dataset`: DNA symbols when
+/// every record is DNA, vowels otherwise (the paper's city-name choice).
+fn tracked_symbols(dataset: &Dataset) -> [u8; 5] {
+    let dna = Alphabet::dna();
+    if dataset.records().all(|r| dna.covers(r)) {
+        DNA_SYMBOLS
+    } else {
+        VOWEL_SYMBOLS
+    }
+}
+
+/// The planner's flat-scan filter chain: the length filter plus
+/// frequency vectors over [`tracked_symbols`].
+fn standard_chain(dataset: &Dataset) -> FilterChain {
+    FilterChain::new()
+        .push(LengthFilter::build(dataset))
+        .push(FrequencyFilter::build(dataset, tracked_symbols(dataset)))
 }
 
 impl Backend for FilteredScanBackend<'_> {
@@ -571,14 +649,8 @@ impl RadixBackend {
     /// Builds the radix tree with frequency vectors over the alphabet
     /// that fits the data (§6 future work).
     pub fn build_with_freq(dataset: &Dataset, strategy: Strategy) -> Self {
-        let dna = Alphabet::dna();
-        let tracked = if dataset.records().all(|r| dna.covers(r)) {
-            DNA_SYMBOLS
-        } else {
-            VOWEL_SYMBOLS
-        };
         Self {
-            radix: simsearch_index::radix::build_with_freq(dataset, tracked),
+            radix: simsearch_index::radix::build_with_freq(dataset, tracked_symbols(dataset)),
             paper: false,
             strategy,
             freq: true,
@@ -933,30 +1005,362 @@ impl ObservationGrid {
     }
 }
 
-/// The planner-driven backend: consults a [`Planner`] per query and
-/// routes to the cheapest arm, counting every decision.
+/// One candidate execution arm of a [`RoutingCore`], owning its built
+/// structure. Arms that read record bytes take the dataset as a call
+/// argument, so one arm type serves a borrowed dataset
+/// ([`AutoBackend`]) and a shard's owned one alike. The V7 and V8 arms
+/// carry nothing: both read the core's one shared [`SortedView`].
+enum Arm {
+    /// Flat scan through the unified filter chain.
+    ScanFlat(FilterChain),
+    /// V7 sorted-prefix scan over the shared sorted view.
+    ScanSorted,
+    /// V8 bit-parallel sweep over the shared sorted view.
+    ScanBitParallel,
+    /// Uncompressed prefix tree (modern pruning).
+    Trie(Trie),
+    /// Compressed (radix) tree (modern pruning).
+    Radix(RadixTrie),
+    /// Inverted q-gram index (q = 2).
+    Qgram(QgramIndex),
+    /// Length-bucketed scan.
+    Buckets(LengthBuckets),
+    /// Burkhard–Keller metric tree.
+    Bk(BkTree),
+}
+
+impl Arm {
+    fn build(dataset: &Dataset, choice: BackendChoice) -> Self {
+        match choice {
+            BackendChoice::ScanFlat => Arm::ScanFlat(standard_chain(dataset)),
+            BackendChoice::ScanSorted => Arm::ScanSorted,
+            BackendChoice::ScanBitParallel => Arm::ScanBitParallel,
+            BackendChoice::Trie => Arm::Trie(simsearch_index::trie::build(dataset)),
+            BackendChoice::Radix => Arm::Radix(simsearch_index::radix::build(dataset)),
+            BackendChoice::Qgram => Arm::Qgram(QgramIndex::build(dataset, 2)),
+            BackendChoice::Buckets => Arm::Buckets(LengthBuckets::build(dataset)),
+            BackendChoice::BkTree => Arm::Bk(BkTree::build(dataset)),
+        }
+    }
+}
+
+/// The planner-driven routing core: the one implementation of
+/// per-query arm selection, shared by [`AutoBackend`] (the core plus a
+/// borrowed dataset) and every frozen shard of a
+/// [`crate::sharded::ShardedBackend`] (the core plus an owned
+/// sub-dataset). Every method that touches records takes that dataset
+/// as an argument; callers must pass the same one every time.
 ///
 /// Arms are built lazily (a candidate the decision table never picks
-/// costs nothing); [`Backend::prepare`] forces every *chosen* arm so
-/// no build lands inside a timed query. All arms return byte-identical
-/// results (the workspace's cross-variant oracles), so routing is a
-/// pure performance decision — correctness does not depend on the
-/// planner.
+/// costs nothing); [`RoutingCore::prepare`] forces every *chosen* arm
+/// so no build lands inside a timed query. All arms return
+/// byte-identical results (the workspace's cross-variant oracles), so
+/// routing is a pure performance decision.
 ///
-/// The planner is held behind an `RwLock<Arc<..>>` so a background
-/// replan tick can atomically swap in a freshly derived decision table
-/// while queries are in flight: the hot path copies the decision out
-/// under a read lock and never holds it across an arm call. Every
-/// routed query is timed into an [`ObservationGrid`]; [`AutoBackend::replan`]
-/// closes the loop.
-pub struct AutoBackend<'a> {
-    dataset: &'a Dataset,
-    threads: usize,
+/// The planner is held behind an `RwLock<Arc<..>>` so a replan tick can
+/// atomically swap in a freshly derived decision table while queries
+/// are in flight: the hot path copies the decision out under a read
+/// lock and never holds it across an arm call. Every routed query is
+/// timed into the core's own [`ObservationGrid`], so each shard
+/// accumulates its own evidence and replans to its own table.
+pub(crate) struct RoutingCore {
     planner: RwLock<Arc<Planner>>,
     plan_epoch: AtomicU64,
     grid: ObservationGrid,
-    arms: [OnceLock<Box<dyn Backend + 'a>>; BackendChoice::COUNT],
+    sorted: OnceLock<SortedView>,
+    arms: [OnceLock<Arm>; BackendChoice::COUNT],
     counters: [AtomicU64; BackendChoice::COUNT],
+}
+
+impl RoutingCore {
+    /// A core with purely static (deterministic) planning over
+    /// `candidates`.
+    pub(crate) fn new(dataset: &Dataset, candidates: &[BackendChoice]) -> Self {
+        Self {
+            planner: RwLock::new(Arc::new(Planner::new(
+                StatsSnapshot::compute(dataset),
+                candidates,
+            ))),
+            plan_epoch: AtomicU64::new(0),
+            grid: ObservationGrid::new(),
+            sorted: OnceLock::new(),
+            arms: std::array::from_fn(|_| OnceLock::new()),
+            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    /// A core over [`AutoBackend::DEFAULT_CANDIDATES`] calibrated with
+    /// a micro-probe: every candidate arm is built, one untimed pass
+    /// warms it, then two timed per-query passes measure steady-state
+    /// cost. The planner groups the timings by query class, so the
+    /// static model's shape error is corrected class by class. The
+    /// probe is paid at build time, and the calibrated table is the
+    /// epoch-0 baseline, not a replan. An empty probe yields static
+    /// planning.
+    pub(crate) fn calibrated(dataset: &Dataset, probe: &Workload) -> Self {
+        let core = Self::new(dataset, &AutoBackend::DEFAULT_CANDIDATES);
+        if probe.queries.is_empty() {
+            return core;
+        }
+        let mut observations = Vec::new();
+        for &choice in &AutoBackend::DEFAULT_CANDIDATES {
+            for q in &probe.queries {
+                let _ = core.run_arm(dataset, choice, &q.text, q.threshold);
+            }
+            for _ in 0..2 {
+                for q in &probe.queries {
+                    let started = Instant::now();
+                    let _ = core.run_arm(dataset, choice, &q.text, q.threshold);
+                    observations.push(Observation {
+                        choice,
+                        query_len: q.text.len(),
+                        k: q.threshold,
+                        nanos: started.elapsed().as_nanos() as f64,
+                    });
+                }
+            }
+        }
+        let snapshot = core.planner().snapshot().clone();
+        *core.planner.write().expect("planner lock") = Arc::new(Planner::with_observations(
+            snapshot,
+            &AutoBackend::DEFAULT_CANDIDATES,
+            &observations,
+        ));
+        core
+    }
+
+    /// The current planner — a cheap shared handle; a replan swaps the
+    /// slot, never mutates the table behind an existing handle.
+    pub(crate) fn planner(&self) -> Arc<Planner> {
+        self.planner.read().expect("planner lock").clone()
+    }
+
+    /// Decision-table swaps since build (0 until the first
+    /// [`RoutingCore::set_planner`] / [`RoutingCore::replan`]).
+    pub(crate) fn plan_epoch(&self) -> u64 {
+        self.plan_epoch.load(Ordering::Relaxed)
+    }
+
+    /// Atomically installs a replacement planner and bumps the plan
+    /// epoch. Refuses (returns `false`) when the candidate set differs
+    /// from the current one: counters, metrics label sets, and the
+    /// lazily built arms are all keyed by the candidate list fixed at
+    /// build time.
+    pub(crate) fn set_planner(&self, planner: Planner) -> bool {
+        let mut slot = self.planner.write().expect("planner lock");
+        if planner.candidates() != slot.candidates() {
+            return false;
+        }
+        *slot = Arc::new(planner);
+        drop(slot);
+        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
+    /// One self-tuning tick: re-derives per-(arm, class) multipliers
+    /// from the grid's live observations and swaps the fresh table in.
+    /// Returns `false` without swapping when no cell has reached
+    /// [`MIN_CELL_OBSERVATIONS`] yet — a thin grid must not overwrite a
+    /// calibrated baseline with an all-1.0 table.
+    pub(crate) fn replan(&self) -> bool {
+        let current = self.planner();
+        let next = Planner::with_class_samples(
+            current.snapshot().clone(),
+            current.candidates(),
+            &self.grid.class_samples(),
+            &self.grid.topk_samples(),
+            MIN_CELL_OBSERVATIONS,
+        );
+        next.is_calibrated() && self.set_planner(next)
+    }
+
+    /// `(arm name, queries routed)` per candidate, in candidate order.
+    pub(crate) fn plan_counts(&self) -> Vec<(&'static str, u64)> {
+        self.per_candidate(|c| self.counters[c.index()].load(Ordering::Relaxed))
+    }
+
+    /// Pooled observed nanoseconds per candidate, in candidate order.
+    pub(crate) fn arm_nanos(&self) -> Vec<(&'static str, u64)> {
+        let nanos = self.grid.arm_nanos();
+        self.per_candidate(|c| nanos[c.index()])
+    }
+
+    fn per_candidate(&self, value: impl Fn(BackendChoice) -> u64) -> Vec<(&'static str, u64)> {
+        self.planner()
+            .candidates()
+            .iter()
+            .map(|&c| (c.name(), value(c)))
+            .collect()
+    }
+
+    /// Forces every arm the decision table can actually pick.
+    pub(crate) fn prepare(&self, dataset: &Dataset) {
+        let mut chosen: Vec<BackendChoice> =
+            self.planner().decisions().iter().map(|d| d.chosen).collect();
+        chosen.sort_by_key(|c| c.index());
+        chosen.dedup();
+        for choice in chosen {
+            self.arm(dataset, choice);
+        }
+    }
+
+    fn arm(&self, dataset: &Dataset, choice: BackendChoice) -> &Arm {
+        self.arms[choice.index()].get_or_init(|| {
+            if matches!(
+                choice,
+                BackendChoice::ScanSorted | BackendChoice::ScanBitParallel
+            ) {
+                self.sorted_view(dataset);
+            }
+            Arm::build(dataset, choice)
+        })
+    }
+
+    fn sorted_view(&self, dataset: &Dataset) -> &SortedView {
+        self.sorted.get_or_init(|| SortedView::build(dataset))
+    }
+
+    /// Answers one query on one arm, unrouted and untimed.
+    fn run_arm(
+        &self,
+        dataset: &Dataset,
+        choice: BackendChoice,
+        query: &[u8],
+        k: u32,
+    ) -> (MatchSet, u64) {
+        match self.arm(dataset, choice) {
+            // `SequentialScan::new` allocates nothing (lazy internals),
+            // and `search_filtered` touches only the borrowed dataset.
+            Arm::ScanFlat(chain) => (
+                SequentialScan::new(dataset).search_filtered(chain, query, k),
+                0,
+            ),
+            Arm::ScanSorted => v7_search_view(self.sorted_view(dataset), query, k),
+            Arm::ScanBitParallel => v8_search_view(self.sorted_view(dataset), query, k),
+            Arm::Trie(t) => (t.search(query, k), 0),
+            Arm::Radix(r) => (r.search(query, k), 0),
+            Arm::Qgram(q) => (q.search(dataset, query, k), 0),
+            Arm::Buckets(b) => (b.search(dataset, query, k), 0),
+            Arm::Bk(t) => (t.search(dataset, query, k), 0),
+        }
+    }
+
+    /// Routes one threshold query to the planner's arm, counts the
+    /// decision, and times the arm into the observation grid.
+    pub(crate) fn search_counting(
+        &self,
+        dataset: &Dataset,
+        query: &[u8],
+        k: u32,
+    ) -> (MatchSet, u64) {
+        // Copy the decision out under the read lock; never hold the
+        // lock across the arm call, or a replan tick would stall behind
+        // the slowest in-flight query.
+        let (chosen, class, predicted, pruned) = {
+            let planner = self.planner.read().expect("planner lock");
+            let chosen = planner.decide(query.len(), k).chosen;
+            let snapshot = planner.snapshot();
+            // Length prune: ed(q, x) ≥ ||q| − |x||, so when the whole
+            // length band lies outside |q| ± k no record can match and
+            // the arm is skipped. Under `ShardBy::Len` shard bands are
+            // narrow, which turns most of a fan-out into near-misses;
+            // over a whole arena it fires only for hopeless queries.
+            let (ql, kk) = (query.len() as u64, u64::from(k));
+            let pruned = snapshot.records == 0
+                || ql + kk < u64::from(snapshot.min_len)
+                || ql.saturating_sub(kk) > u64::from(snapshot.max_len);
+            (
+                chosen,
+                QueryClass::of(snapshot, query.len(), k),
+                static_cost(snapshot, chosen, query.len(), k),
+                pruned,
+            )
+        };
+        // The planner decided even when the length bound answers.
+        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
+        if pruned {
+            // The arm never ran, so nothing is recorded: a ~0 ns sample
+            // would drag the arm's multipliers toward zero.
+            return (MatchSet::default(), 0);
+        }
+        let started = Instant::now();
+        let answer = self.run_arm(dataset, chosen, query, k);
+        self.grid
+            .record(class, chosen, started.elapsed().as_nanos() as u64, predicted);
+        answer
+    }
+
+    /// Top-k routes on its own curve: the whole deepening run goes to
+    /// the arm whose *summed* schedule cost is smallest, instead of
+    /// re-deciding per radius on the threshold table (whose multipliers
+    /// describe single probes, not re-entrant series).
+    pub(crate) fn search_top_k_with(
+        &self,
+        dataset: &Dataset,
+        query: &[u8],
+        count: usize,
+        max_radius: u32,
+    ) -> (Vec<Match>, u64) {
+        let (chosen, predicted) = {
+            let planner = self.planner.read().expect("planner lock");
+            let chosen = planner.decide_topk(query.len(), count, max_radius).chosen;
+            (
+                chosen,
+                planner.topk_static_units(chosen, query.len(), count, max_radius),
+            )
+        };
+        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let mut cells = 0u64;
+        let matches = topk::search_top_k_with(
+            |radius| {
+                let (m, c) = self.run_arm(dataset, chosen, query, radius);
+                cells += c;
+                m
+            },
+            count,
+            max_radius,
+        );
+        self.grid
+            .record_topk(chosen, started.elapsed().as_nanos() as u64, predicted);
+        (matches, cells)
+    }
+
+    /// The cheapest candidate's static cost.
+    pub(crate) fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
+        self.planner()
+            .candidates()
+            .iter()
+            .map(|&c| static_cost(snapshot, c, query_len, k))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// Self-description under `name`, with the full plan report.
+    pub(crate) fn diag(&self, name: String) -> BackendDiag {
+        let planner = self.planner();
+        BackendDiag {
+            name,
+            structure: None,
+            filters: vec!["length", "frequency"],
+            plan: Some(PlanReport {
+                snapshot: planner.snapshot().clone(),
+                decisions: planner.decisions().to_vec(),
+                counts: self.plan_counts(),
+                calibrated: planner.is_calibrated(),
+            }),
+        }
+    }
+}
+
+/// The planner-driven backend: the routing core over a borrowed
+/// dataset. It consults a [`Planner`] per query, routes to the
+/// cheapest arm, counts every decision, and times every routed query
+/// into an [`ObservationGrid`]; [`AutoBackend::replan`] closes the
+/// self-tuning loop.
+pub struct AutoBackend<'a> {
+    dataset: &'a Dataset,
+    threads: usize,
+    core: RoutingCore,
 }
 
 impl<'a> AutoBackend<'a> {
@@ -975,72 +1379,24 @@ impl<'a> AutoBackend<'a> {
     /// Builds an auto backend with purely static (deterministic)
     /// planning over the default candidates.
     pub fn new(dataset: &'a Dataset, threads: usize) -> Self {
-        let snapshot = StatsSnapshot::compute(dataset);
-        let planner = Planner::new(snapshot, &Self::DEFAULT_CANDIDATES);
-        Self::with_planner(dataset, threads, planner)
-    }
-
-    /// Builds an auto backend and calibrates the planner with a
-    /// micro-probe: every candidate arm is built, the probe workload
-    /// runs through each, and measured time scales that arm's cost
-    /// hints. Like index construction, the probe is paid at build time
-    /// and excluded from query timing. An empty probe yields static
-    /// planning.
-    pub fn calibrated(dataset: &'a Dataset, threads: usize, probe: &Workload) -> Self {
-        let snapshot = StatsSnapshot::compute(dataset);
-        if probe.queries.is_empty() {
-            let planner = Planner::new(snapshot, &Self::DEFAULT_CANDIDATES);
-            return Self::with_planner(dataset, threads, planner);
-        }
-        let uncalibrated = Self::with_planner(
-            dataset,
-            threads,
-            Planner::new(snapshot.clone(), &Self::DEFAULT_CANDIDATES),
-        );
-        let mut observations = Vec::new();
-        for &choice in &Self::DEFAULT_CANDIDATES {
-            let arm = uncalibrated.arm(choice);
-            // One untimed pass warms lazy state (and caches), then two
-            // timed per-query passes measure steady-state cost; the
-            // planner groups the timings by query class, so the static
-            // model's shape error is corrected class by class instead
-            // of with one arm-wide ratio.
-            let _ = arm.run_with_strategy(probe, Strategy::Sequential);
-            for _ in 0..2 {
-                for q in &probe.queries {
-                    let started = std::time::Instant::now();
-                    let _ = arm.search(&q.text, q.threshold);
-                    observations.push(Observation {
-                        choice,
-                        query_len: q.text.len(),
-                        k: q.threshold,
-                        nanos: started.elapsed().as_nanos() as f64,
-                    });
-                }
-            }
-        }
-        let planner =
-            Planner::with_observations(snapshot, &Self::DEFAULT_CANDIDATES, &observations);
-        // Keep the arms the probe already built. Build-time calibration
-        // is the epoch-0 baseline, not a replan — the epoch counts
-        // serving-time swaps only.
-        let auto = uncalibrated;
-        *auto.planner.write().expect("planner lock") = Arc::new(planner);
-        for counter in &auto.counters {
-            counter.store(0, Ordering::Relaxed);
-        }
-        auto
-    }
-
-    fn with_planner(dataset: &'a Dataset, threads: usize, planner: Planner) -> Self {
         Self {
             dataset,
             threads,
-            planner: RwLock::new(Arc::new(planner)),
-            plan_epoch: AtomicU64::new(0),
-            grid: ObservationGrid::new(),
-            arms: std::array::from_fn(|_| OnceLock::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
+            core: RoutingCore::new(dataset, &Self::DEFAULT_CANDIDATES),
+        }
+    }
+
+    /// Builds an auto backend and calibrates the planner with a
+    /// micro-probe: every candidate arm is built, one untimed pass warms
+    /// it, and two timed passes scale its cost hints per query class.
+    /// Like index construction, the probe is paid at build time and
+    /// excluded from query timing; the result is the epoch-0 baseline.
+    /// An empty probe yields static planning.
+    pub fn calibrated(dataset: &'a Dataset, threads: usize, probe: &Workload) -> Self {
+        Self {
+            dataset,
+            threads,
+            core: RoutingCore::calibrated(dataset, probe),
         }
     }
 
@@ -1048,7 +1404,7 @@ impl<'a> AutoBackend<'a> {
     /// handle; a concurrent replan swaps the slot, never mutates the
     /// table behind an existing handle.
     pub fn planner(&self) -> Arc<Planner> {
-        self.planner.read().expect("planner lock").clone()
+        self.core.planner()
     }
 
     /// How many times the decision table has been swapped since build:
@@ -1056,61 +1412,34 @@ impl<'a> AutoBackend<'a> {
     /// [`AutoBackend::replan`], whether or not the build-time probe
     /// calibrated the baseline.
     pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::Relaxed)
+        self.core.plan_epoch()
     }
 
     /// The live latency registry this backend records into.
     pub fn observations(&self) -> &ObservationGrid {
-        &self.grid
+        &self.core.grid
     }
 
     /// Pooled observed nanoseconds per candidate, in candidate order —
     /// the serving layer's `STATS` view of the latency registry.
     pub fn observed_arm_nanos(&self) -> Vec<(&'static str, u64)> {
-        let nanos = self.grid.arm_nanos();
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| (c.name(), nanos[c.index()]))
-            .collect()
+        self.core.arm_nanos()
     }
 
     /// Atomically installs a replacement planner and bumps the plan
-    /// epoch. Refuses (returns `false`) when the candidate set differs
-    /// from the current one: counters, metrics label sets, and the
-    /// lazily built arms are all keyed by the candidate list fixed at
-    /// build time. This is how a restarted daemon installs persisted
-    /// calibration — which is why the epoch starts above 0 after a
-    /// successful restore.
+    /// epoch; refuses (returns `false`) a different candidate set. This
+    /// is how a restarted daemon installs persisted calibration — which
+    /// is why the epoch starts above 0 after a successful restore.
     pub fn set_planner(&self, planner: Planner) -> bool {
-        let mut slot = self.planner.write().expect("planner lock");
-        if planner.candidates() != slot.candidates() {
-            return false;
-        }
-        *slot = Arc::new(planner);
-        drop(slot);
-        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        true
+        self.core.set_planner(planner)
     }
 
     /// One self-tuning tick: re-derives per-(arm, class) multipliers
-    /// from the grid's live observations and swaps the fresh decision
-    /// table in. Returns `false` without swapping when no cell has
-    /// reached [`MIN_CELL_OBSERVATIONS`] yet — a thin grid must not
-    /// overwrite a calibrated baseline with an all-1.0 table.
+    /// from the observation grid and swaps the fresh table in. `false`
+    /// without swapping while no cell has reached
+    /// [`MIN_CELL_OBSERVATIONS`].
     pub fn replan(&self) -> bool {
-        let current = self.planner();
-        let next = Planner::with_class_samples(
-            current.snapshot().clone(),
-            current.candidates(),
-            &self.grid.class_samples(),
-            &self.grid.topk_samples(),
-            MIN_CELL_OBSERVATIONS,
-        );
-        if !next.is_calibrated() {
-            return false;
-        }
-        self.set_planner(next)
+        self.core.replan()
     }
 
     /// A small deterministic probe workload drawn from the dataset
@@ -1140,45 +1469,7 @@ impl<'a> AutoBackend<'a> {
     /// `(backend name, queries routed)` per candidate, in candidate
     /// order. Counts accumulate over the backend's lifetime.
     pub fn plan_counts(&self) -> Vec<(&'static str, u64)> {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| (c.name(), self.counters[c.index()].load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    fn arm(&self, choice: BackendChoice) -> &dyn Backend {
-        self.arms[choice.index()]
-            .get_or_init(|| {
-                let arm: Box<dyn Backend + 'a> = match choice {
-                    BackendChoice::ScanFlat => Box::new(FilteredScanBackend::new(
-                        self.dataset,
-                        Strategy::Sequential,
-                    )),
-                    BackendChoice::ScanSorted => {
-                        Box::new(SortedScanBackend::new(SequentialScan::new(self.dataset)))
-                    }
-                    BackendChoice::ScanBitParallel => Box::new(BitParallelScanBackend::new(
-                        SequentialScan::new(self.dataset),
-                    )),
-                    BackendChoice::Trie => Box::new(TrieBackend::build(self.dataset, false)),
-                    BackendChoice::Radix => {
-                        Box::new(RadixBackend::build(self.dataset, false, Strategy::Sequential))
-                    }
-                    BackendChoice::Qgram => {
-                        Box::new(QgramBackend::build(self.dataset, 2, Strategy::Sequential))
-                    }
-                    BackendChoice::Buckets => {
-                        Box::new(BucketsBackend::build(self.dataset, Strategy::Sequential))
-                    }
-                    BackendChoice::BkTree => {
-                        Box::new(BkBackend::build(self.dataset, Strategy::Sequential))
-                    }
-                };
-                arm.prepare();
-                arm
-            })
-            .as_ref()
+        self.core.plan_counts()
     }
 }
 
@@ -1195,18 +1486,7 @@ impl Backend for AutoBackend<'_> {
     }
 
     fn prepare(&self) {
-        // Force every arm the decision table can actually pick.
-        let mut chosen: Vec<BackendChoice> = self
-            .planner()
-            .decisions()
-            .iter()
-            .map(|d| d.chosen)
-            .collect();
-        chosen.sort_by_key(|c| c.index());
-        chosen.dedup();
-        for choice in chosen {
-            self.arm(choice);
-        }
+        self.core.prepare(self.dataset);
     }
 
     fn search(&self, query: &[u8], k: u32) -> MatchSet {
@@ -1214,24 +1494,7 @@ impl Backend for AutoBackend<'_> {
     }
 
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        // Copy the decision out under the read lock; never hold the
-        // lock across the arm call, or a replan tick would stall behind
-        // the slowest in-flight query.
-        let (chosen, class, predicted) = {
-            let planner = self.planner.read().expect("planner lock");
-            let chosen = planner.decide(query.len(), k).chosen;
-            (
-                chosen,
-                QueryClass::of(planner.snapshot(), query.len(), k),
-                static_cost(planner.snapshot(), chosen, query.len(), k),
-            )
-        };
-        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let answer = self.arm(chosen).search_counting(query, k);
-        self.grid
-            .record(class, chosen, started.elapsed().as_nanos() as u64, predicted);
-        answer
+        self.core.search_counting(self.dataset, query, k)
     }
 
     fn search_top_k_with(
@@ -1240,51 +1503,40 @@ impl Backend for AutoBackend<'_> {
         count: usize,
         max_radius: u32,
     ) -> (Vec<Match>, u64) {
-        // Top-k routes on its own curve: the whole deepening run goes
-        // to the arm whose *summed* schedule cost is smallest, instead
-        // of re-deciding per radius on the threshold table (whose
-        // multipliers describe single probes, not re-entrant series).
-        let (chosen, predicted) = {
-            let planner = self.planner.read().expect("planner lock");
-            let chosen = planner.decide_topk(query.len(), count, max_radius).chosen;
-            (
-                chosen,
-                planner.topk_static_units(chosen, query.len(), count, max_radius),
-            )
-        };
-        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        let started = Instant::now();
-        let answer = self.arm(chosen).search_top_k_with(query, count, max_radius);
-        self.grid
-            .record_topk(chosen, started.elapsed().as_nanos() as u64, predicted);
-        answer
+        self.core
+            .search_top_k_with(self.dataset, query, count, max_radius)
     }
 
     fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| static_cost(snapshot, c, query_len, k))
-            .fold(f64::INFINITY, f64::min)
+        self.core.cost_hint(snapshot, query_len, k)
     }
 
     fn diag(&self) -> BackendDiag {
-        let planner = self.planner();
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length", "frequency"],
-            plan: Some(PlanReport {
-                snapshot: planner.snapshot().clone(),
-                decisions: planner.decisions().to_vec(),
-                counts: self.plan_counts(),
-                calibrated: planner.is_calibrated(),
-            }),
-        }
+        self.core.diag(self.name())
     }
 
     fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
-        Some(AutoBackend::plan_counts(self))
+        Some(self.core.plan_counts())
+    }
+
+    fn replan_tick(&self) -> Option<u64> {
+        Some(u64::from(self.replan()))
+    }
+
+    fn plan_epoch_total(&self) -> Option<u64> {
+        Some(self.plan_epoch())
+    }
+
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        Some(self.core.arm_nanos())
+    }
+
+    fn calibration(&self) -> Option<Arc<Planner>> {
+        Some(self.planner())
+    }
+
+    fn restore_calibration(&self, planner: Planner) -> bool {
+        self.set_planner(planner)
     }
 
     fn preferred_strategy(&self) -> Strategy {

@@ -6,7 +6,8 @@
 //!
 //! * [`backend`] — the unified [`backend::Backend`] trait: one
 //!   execution seam over every scan rung and index structure, plus the
-//!   planner-driven [`backend::AutoBackend`];
+//!   planner-driven [`backend::AutoBackend`] (its routing core also
+//!   drives every frozen shard of [`sharded::ShardedBackend`]);
 //! * [`planner`] — the adaptive [`planner::Planner`]: cost hints from
 //!   dataset statistics, one explainable [`planner::PlanDecision`] per
 //!   query class;
@@ -60,7 +61,7 @@ pub use calibration::{
 pub use engine::{build_backend, EngineKind, IdxVariant, SearchEngine};
 pub use lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend, SegmentArm};
 pub use sharded::{
-    merge_match_sets, partition_ids, remap_to_global, route_record, ShardAutoBackend, ShardBy,
+    merge_match_sets, partition_ids, remap_to_global, route_record, ShardBy,
     ShardStats, ShardedBackend,
 };
 pub use planner::{

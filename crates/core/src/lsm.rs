@@ -716,6 +716,18 @@ impl Backend for LiveEngine {
             plan: None,
         }
     }
+
+    fn replan_tick(&self) -> Option<u64> {
+        Some(u64::from(self.replan()))
+    }
+
+    fn plan_epoch_total(&self) -> Option<u64> {
+        Some(self.plan_epoch())
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        Some(self)
+    }
 }
 
 impl MutableBackend for LiveEngine {

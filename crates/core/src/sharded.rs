@@ -3,13 +3,14 @@
 //! The paper's scan-vs-index crossover (§3–§4) is a property of *one*
 //! arena; production datasets outgrow one arena. This module partitions
 //! a dataset into `S` shards ([`ShardBy::Len`] length bands or
-//! [`ShardBy::Hash`] content hashing), gives each shard its own
-//! [`Backend`] — a [`ShardAutoBackend`], a planner-driven router that
-//! *owns* its shard and calibrates against that shard's own
-//! [`StatsSnapshot`] — fans each query out across shards via
-//! `simsearch_parallel`, and unions the per-shard [`MatchSet`]s with a
-//! k-way merge ([`merge_match_sets`]) after remapping shard-local ids
-//! back to global ids ([`remap_to_global`]).
+//! [`ShardBy::Hash`] content hashing). Each frozen shard is the same
+//! routing core that drives [`crate::AutoBackend`], over the shard's
+//! own materialized records and calibrated against that shard's own
+//! [`StatsSnapshot`]; each live shard is a [`LiveEngine`]. Queries fan
+//! out across shards via `simsearch_parallel`, and the per-shard
+//! [`MatchSet`]s are unioned with a k-way merge ([`merge_match_sets`])
+//! after remapping shard-local ids back to global ids
+//! ([`remap_to_global`]).
 //!
 //! Per-shard planners are the point: a shard of short city names and a
 //! shard of long DNA reads route differently, which a single global
@@ -18,22 +19,13 @@
 //! increasing, so a remapped shard-local result is already a sorted run
 //! and the union is a classic k-way merge of disjoint sorted lists.
 
-use crate::backend::{AutoBackend, Backend, BackendDiag, ObservationGrid, PlanReport};
+use crate::backend::{AutoBackend, Backend, BackendDiag, RoutingCore};
 use crate::lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend};
-use crate::planner::{
-    static_cost, BackendChoice, Observation, Planner, QueryClass, MIN_CELL_OBSERVATIONS,
-};
-use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
-use simsearch_data::{
-    Alphabet, Dataset, Match, MatchSet, RecordId, SortedView, StatsSnapshot, Workload,
-};
-use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
-use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, Trie};
+use crate::planner::BackendChoice;
+use simsearch_data::{Dataset, Match, MatchSet, RecordId, StatsSnapshot, Workload};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
-use simsearch_scan::{v7_search_view, v8_search_view, SequentialScan};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
-use std::time::Instant;
+use std::sync::Mutex;
 
 /// How records are assigned to shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -169,381 +161,112 @@ pub fn merge_match_sets(parts: &[MatchSet]) -> MatchSet {
     MatchSet::from_unsorted(out)
 }
 
-/// One candidate execution arm over an *owned* shard dataset.
-///
-/// Unlike the borrowing arms in [`crate::backend`], every variant here
-/// either owns its structure outright or takes the dataset as a
-/// call-time argument — which is what lets a shard own its dataset and
-/// its backend in one struct without self-reference.
-enum ShardArm {
-    /// Flat scan through the unified filter chain.
-    ScanFlat(FilterChain),
-    /// V7 sorted-prefix scan over an owned sorted view.
-    ScanSorted(SortedView),
-    /// V8 bit-parallel sweep over an owned sorted view.
-    ScanBitParallel(SortedView),
-    /// Uncompressed prefix tree (modern pruning).
-    Trie(Trie),
-    /// Compressed (radix) tree (modern pruning).
-    Radix(RadixTrie),
-    /// Inverted q-gram index (q = 2, the planner's choice).
-    Qgram(QgramIndex),
-    /// Length-bucketed scan.
-    Buckets(LengthBuckets),
-    /// Burkhard–Keller metric tree.
-    Bk(BkTree),
+/// One shard's engine.
+enum ShardEngine {
+    /// A frozen partition: the routing core over the shard's owned
+    /// records, whose local id `i` is global id `globals[i]` (the
+    /// strictly increasing table [`partition_ids`] produced). The core
+    /// is boxed: its arm slots dwarf a live shard's handle.
+    Frozen {
+        dataset: Dataset,
+        core: Box<RoutingCore>,
+        globals: Vec<RecordId>,
+    },
+    /// A live partition, seeded with this shard's slice of the global
+    /// id space; every insert carries a centrally allocated id, so it
+    /// already answers in global ids.
+    Live(LiveEngine),
 }
 
-impl ShardArm {
-    fn build(dataset: &Dataset, choice: BackendChoice) -> Self {
-        match choice {
-            BackendChoice::ScanFlat => {
-                let dna = Alphabet::dna();
-                let tracked = if dataset.records().all(|r| dna.covers(r)) {
-                    DNA_SYMBOLS
-                } else {
-                    VOWEL_SYMBOLS
-                };
-                ShardArm::ScanFlat(
-                    FilterChain::new()
-                        .push(LengthFilter::build(dataset))
-                        .push(FrequencyFilter::build(dataset, tracked)),
-                )
-            }
-            BackendChoice::ScanSorted => ShardArm::ScanSorted(SortedView::build(dataset)),
-            BackendChoice::ScanBitParallel => {
-                ShardArm::ScanBitParallel(SortedView::build(dataset))
-            }
-            BackendChoice::Trie => ShardArm::Trie(simsearch_index::trie::build(dataset)),
-            BackendChoice::Radix => ShardArm::Radix(simsearch_index::radix::build(dataset)),
-            BackendChoice::Qgram => ShardArm::Qgram(QgramIndex::build(dataset, 2)),
-            BackendChoice::Buckets => ShardArm::Buckets(LengthBuckets::build(dataset)),
-            BackendChoice::BkTree => ShardArm::Bk(BkTree::build(dataset)),
-        }
-    }
-
-    fn search_counting(&self, dataset: &Dataset, query: &[u8], k: u32) -> (MatchSet, u64) {
-        match self {
-            // `SequentialScan::new` allocates nothing (lazy internals),
-            // and `search_filtered` touches only the borrowed dataset —
-            // constructing one per call is free.
-            ShardArm::ScanFlat(chain) => (
-                SequentialScan::new(dataset).search_filtered(chain, query, k),
-                0,
-            ),
-            ShardArm::ScanSorted(sv) => v7_search_view(sv, query, k),
-            ShardArm::ScanBitParallel(sv) => v8_search_view(sv, query, k),
-            ShardArm::Trie(t) => (t.search(query, k), 0),
-            ShardArm::Radix(r) => (r.search(query, k), 0),
-            ShardArm::Qgram(q) => (q.search(dataset, query, k), 0),
-            ShardArm::Buckets(b) => (b.search(dataset, query, k), 0),
-            ShardArm::Bk(t) => (t.search(dataset, query, k), 0),
-        }
-    }
-}
-
-/// A planner-driven backend that *owns* its (shard) dataset.
-///
-/// The sharded composite needs `Box<dyn Backend>` per shard, and the
-/// borrowing [`AutoBackend`] cannot outlive a dataset owned by a
-/// sibling field — so this is its owned twin: same candidate set, same
-/// decision table, same calibration protocol, but every arm is an
-/// owned [`ShardArm`]. Also usable stand-alone with a single fixed
-/// candidate ([`ShardAutoBackend::fixed`]) to pin a shard to one arm.
-/// Like [`AutoBackend`], the planner lives behind an `RwLock<Arc<..>>`
-/// so a replan tick can swap each shard's decision table independently
-/// while its queries are in flight, and every routed probe is timed
-/// into the shard's own [`ObservationGrid`] — a memtable-heavy shard
-/// and a freshly-flushed neighbour accumulate different evidence and
-/// replan to different tables.
-pub struct ShardAutoBackend {
-    dataset: Dataset,
-    planner: RwLock<Arc<Planner>>,
-    plan_epoch: AtomicU64,
-    grid: ObservationGrid,
-    arms: [OnceLock<ShardArm>; BackendChoice::COUNT],
-    counters: [AtomicU64; BackendChoice::COUNT],
-}
-
-impl ShardAutoBackend {
-    /// Builds with purely static (deterministic) planning over
-    /// [`AutoBackend::DEFAULT_CANDIDATES`].
-    pub fn new(dataset: Dataset) -> Self {
-        let snapshot = StatsSnapshot::compute(&dataset);
-        let planner = Planner::new(snapshot, &AutoBackend::DEFAULT_CANDIDATES);
-        Self::with_planner(dataset, planner)
-    }
-
-    /// Builds with a single fixed arm: the planner has one candidate,
-    /// so every query routes to `choice`.
-    pub fn fixed(dataset: Dataset, choice: BackendChoice) -> Self {
-        let snapshot = StatsSnapshot::compute(&dataset);
-        let planner = Planner::new(snapshot, &[choice]);
-        Self::with_planner(dataset, planner)
-    }
-
-    /// Builds and calibrates against `probe` with the same protocol as
-    /// [`AutoBackend::calibrated`]: one untimed warm pass per arm, then
-    /// two timed per-query passes feeding [`Observation`]s grouped by
-    /// query class. An empty probe yields static planning.
-    pub fn calibrated(dataset: Dataset, probe: &Workload) -> Self {
-        let auto = Self::new(dataset);
-        if probe.queries.is_empty() {
-            return auto;
-        }
-        let mut observations = Vec::new();
-        for &choice in &AutoBackend::DEFAULT_CANDIDATES {
-            let arm = auto.arm(choice);
-            for q in &probe.queries {
-                let _ = arm.search_counting(&auto.dataset, &q.text, q.threshold);
-            }
-            for _ in 0..2 {
-                for q in &probe.queries {
-                    let started = std::time::Instant::now();
-                    let _ = arm.search_counting(&auto.dataset, &q.text, q.threshold);
-                    observations.push(Observation {
-                        choice,
-                        query_len: q.text.len(),
-                        k: q.threshold,
-                        nanos: started.elapsed().as_nanos() as f64,
-                    });
-                }
-            }
-        }
-        let calibrated = Planner::with_observations(
-            auto.planner().snapshot().clone(),
-            &AutoBackend::DEFAULT_CANDIDATES,
-            &observations,
-        );
-        // Build-time calibration is the epoch-0 baseline, not a replan.
-        *auto.planner.write().expect("planner lock") = Arc::new(calibrated);
-        for counter in &auto.counters {
-            counter.store(0, Ordering::Relaxed);
-        }
-        auto
-    }
-
-    fn with_planner(dataset: Dataset, planner: Planner) -> Self {
-        Self {
-            dataset,
-            planner: RwLock::new(Arc::new(planner)),
-            plan_epoch: AtomicU64::new(0),
-            grid: ObservationGrid::new(),
-            arms: std::array::from_fn(|_| OnceLock::new()),
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    /// The shard's current planner (per-shard `explain`) — a shared
-    /// handle; replans swap the slot, never mutate behind it.
-    pub fn planner(&self) -> Arc<Planner> {
-        self.planner.read().expect("planner lock").clone()
-    }
-
-    /// Decision-table swaps since build (0 until the first replan).
-    pub fn plan_epoch(&self) -> u64 {
-        self.plan_epoch.load(Ordering::Relaxed)
-    }
-
-    /// The shard's live latency registry.
-    pub fn observations(&self) -> &ObservationGrid {
-        &self.grid
-    }
-
-    /// Atomically installs a replacement planner and bumps the epoch;
-    /// refuses a different candidate set (counters and metrics label
-    /// sets are fixed at build). Same contract as
-    /// [`AutoBackend::set_planner`].
-    pub fn set_planner(&self, planner: Planner) -> bool {
-        let mut slot = self.planner.write().expect("planner lock");
-        if planner.candidates() != slot.candidates() {
-            return false;
-        }
-        *slot = Arc::new(planner);
-        drop(slot);
-        self.plan_epoch.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    /// One self-tuning tick over *this shard's* observations — the
-    /// per-shard twin of [`AutoBackend::replan`]. Returns `false`
-    /// without swapping when no cell has reached
-    /// [`MIN_CELL_OBSERVATIONS`].
-    pub fn replan(&self) -> bool {
-        let current = self.planner();
-        let next = Planner::with_class_samples(
-            current.snapshot().clone(),
-            current.candidates(),
-            &self.grid.class_samples(),
-            &self.grid.topk_samples(),
-            MIN_CELL_OBSERVATIONS,
-        );
-        if !next.is_calibrated() {
-            return false;
-        }
-        self.set_planner(next)
-    }
-
-    /// The owned shard dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.dataset
-    }
-
-    fn arm(&self, choice: BackendChoice) -> &ShardArm {
-        self.arms[choice.index()].get_or_init(|| ShardArm::build(&self.dataset, choice))
-    }
-
-    fn counts_vec(&self) -> Vec<(&'static str, u64)> {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| (c.name(), self.counters[c.index()].load(Ordering::Relaxed)))
-            .collect()
-    }
-}
-
-impl Backend for ShardAutoBackend {
-    fn name(&self) -> String {
-        let planner = self.planner();
-        if let [only] = planner.candidates() {
-            format!("shard[{}]", only.name())
-        } else if planner.is_calibrated() {
-            "shard-auto[calibrated]".into()
-        } else {
-            "shard-auto[static]".into()
-        }
-    }
-
-    fn prepare(&self) {
-        let mut chosen: Vec<BackendChoice> =
-            self.planner().decisions().iter().map(|d| d.chosen).collect();
-        chosen.sort_by_key(|c| c.index());
-        chosen.dedup();
-        for choice in chosen {
-            self.arm(choice);
-        }
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.search_counting(query, k).0
-    }
-
-    fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
-        // Copy the decision out under the read lock (never held across
-        // the arm probe — a replan swap must not wait on a slow query).
-        let (chosen, class, predicted, pruned) = {
-            let planner = self.planner.read().expect("planner lock");
-            let chosen = planner.decide(query.len(), k).chosen;
-            let snapshot = planner.snapshot();
-            // Shard-level length prune: ed(q, x) ≥ ||q| − |x||, so when
-            // the shard's entire length band lies outside |q| ± k no
-            // record can match and the arm probe is skipped. Under
-            // `ShardBy::Len` the bands are narrow, which turns a
-            // fan-out into a near-miss for most shards; under
-            // `ShardBy::Hash` the band is the full length range and
-            // this never fires. The routing counter below still ticks —
-            // the planner decided, the length bound answered.
-            let (ql, kk) = (query.len() as u64, u64::from(k));
-            let pruned = snapshot.records == 0
-                || ql + kk < u64::from(snapshot.min_len)
-                || ql.saturating_sub(kk) > u64::from(snapshot.max_len);
-            (
-                chosen,
-                QueryClass::of(snapshot, query.len(), k),
-                static_cost(snapshot, chosen, query.len(), k),
-                pruned,
-            )
-        };
-        self.counters[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        if pruned {
-            // The arm never ran, so nothing is recorded: a pruned query
-            // says nothing about the arm's cost curve, and folding its
-            // ~0 ns in would drag the shard's multipliers toward zero.
-            return (MatchSet::default(), 0);
-        }
-        let started = Instant::now();
-        let answer = self.arm(chosen).search_counting(&self.dataset, query, k);
-        self.grid
-            .record(class, chosen, started.elapsed().as_nanos() as u64, predicted);
-        answer
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| static_cost(snapshot, c, query_len, k))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        let planner = self.planner();
-        BackendDiag {
-            name: self.name(),
-            structure: None,
-            filters: vec!["length", "frequency"],
-            plan: Some(PlanReport {
-                snapshot: planner.snapshot().clone(),
-                decisions: planner.decisions().to_vec(),
-                counts: self.counts_vec(),
-                calibrated: planner.is_calibrated(),
-            }),
-        }
-    }
-
-    fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
-        Some(self.counts_vec())
-    }
-}
-
-/// How a shard's result ids map back to the global id space.
-enum ShardIds {
-    /// Frozen shard: local id `i` ↔ `table[i]`, the strictly increasing
-    /// table [`partition_ids`] produced.
-    Table(Vec<RecordId>),
-    /// Live shard: the backend already answers in global ids (its
-    /// [`LiveEngine`] was seeded with this shard's slice of the global
-    /// space and every insert carries a centrally allocated id), so the
-    /// remap is the identity.
-    Global,
-}
-
-/// One shard: an owned backend plus the mapping from its local ids back
-/// to global ids, the mutation handle when the shard is live, and
-/// lifetime counters for serving metrics.
+/// One shard: its engine plus lifetime counters for serving metrics.
 struct Shard {
-    backend: Box<dyn Backend>,
-    ids: ShardIds,
-    /// The shard's engine as a mutation target; `None` for frozen
-    /// shards. Shares the allocation with `backend`.
-    live: Option<Arc<LiveEngine>>,
-    /// The shard's planner-driven backend as a replan target; `None`
-    /// for live shards (which replan through their [`LiveEngine`]).
-    /// Shares the allocation with `backend`.
-    auto: Option<Arc<ShardAutoBackend>>,
+    engine: ShardEngine,
     queries: AtomicU64,
     matches: AtomicU64,
 }
 
 impl Shard {
-    /// Remaps a shard-local result to global ids. The output is sorted
-    /// by id either way: frozen tables are strictly increasing, and
-    /// live shards answer in global ids already.
-    fn remap(&self, local: &MatchSet) -> MatchSet {
-        match &self.ids {
-            ShardIds::Table(globals) => remap_to_global(local, globals),
-            ShardIds::Global => local.clone(),
+    fn new(engine: ShardEngine) -> Self {
+        Self {
+            engine,
+            queries: AtomicU64::new(0),
+            matches: AtomicU64::new(0),
+        }
+    }
+
+    /// One query against this shard, in global ids (sorted by id either
+    /// way: frozen tables are strictly increasing, and live shards
+    /// answer in global ids already), plus DP cells.
+    fn search(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
+        let (global, cells) = match &self.engine {
+            ShardEngine::Frozen {
+                dataset,
+                core,
+                globals,
+            } => {
+                let (local, cells) = core.search_counting(dataset, query, k);
+                (remap_to_global(&local, globals), cells)
+            }
+            ShardEngine::Live(engine) => engine.search_counting(query, k),
+        };
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        self.matches.fetch_add(global.len() as u64, Ordering::Relaxed);
+        (global, cells)
+    }
+
+    fn core(&self) -> Option<&RoutingCore> {
+        match &self.engine {
+            ShardEngine::Frozen { core, .. } => Some(core),
+            ShardEngine::Live(_) => None,
+        }
+    }
+
+    fn live(&self) -> Option<&LiveEngine> {
+        match &self.engine {
+            ShardEngine::Frozen { .. } => None,
+            ShardEngine::Live(engine) => Some(engine),
         }
     }
 
     /// Records this shard currently holds (live count for live shards).
     fn records(&self) -> usize {
-        match (&self.ids, &self.live) {
-            (ShardIds::Table(globals), _) => globals.len(),
-            (ShardIds::Global, Some(engine)) => engine.stats().live_records,
-            (ShardIds::Global, None) => 0,
+        match &self.engine {
+            ShardEngine::Frozen { globals, .. } => globals.len(),
+            ShardEngine::Live(engine) => engine.stats().live_records,
         }
     }
+
+    fn diag(&self) -> BackendDiag {
+        match &self.engine {
+            ShardEngine::Frozen { core, .. } => {
+                let planner = core.planner();
+                let name = if let [only] = planner.candidates() {
+                    format!("shard[{}]", only.name())
+                } else if planner.is_calibrated() {
+                    "shard-auto[calibrated]".into()
+                } else {
+                    "shard-auto[static]".into()
+                };
+                core.diag(name)
+            }
+            ShardEngine::Live(engine) => engine.diag(),
+        }
+    }
+}
+
+/// Sums per-arm counters across shards, keyed by arm name, in order of
+/// first appearance.
+fn sum_by_name(
+    parts: impl Iterator<Item = Vec<(&'static str, u64)>>,
+) -> Vec<(&'static str, u64)> {
+    let mut agg: Vec<(&'static str, u64)> = Vec::new();
+    for (name, c) in parts.flatten() {
+        match agg.iter_mut().find(|(n, _)| *n == name) {
+            Some(entry) => entry.1 += c,
+            None => agg.push((name, c)),
+        }
+    }
+    agg
 }
 
 /// Per-shard lifetime statistics, surfaced through
@@ -583,11 +306,12 @@ struct RouterState {
     owner: Vec<u8>,
 }
 
-/// The sharded composite backend: `S` shards, each with its own
-/// [`Backend`], fan-out per query, k-way union of the results. Built
-/// with [`ShardedBackend::live`], the shards are [`LiveEngine`]s and
-/// the composite additionally implements [`MutableBackend`], routing
-/// each insert by content hash and each delete to the owning shard.
+/// The sharded composite backend: `S` shards, each the routing core of
+/// [`AutoBackend`] over its own records, fan-out per query, k-way union
+/// of the results. Built with [`ShardedBackend::live`], the shards are
+/// [`LiveEngine`]s and the composite additionally implements
+/// [`MutableBackend`], routing each insert by content hash and each
+/// delete to the owning shard.
 pub struct ShardedBackend {
     shards: Vec<Shard>,
     by: ShardBy,
@@ -598,10 +322,12 @@ pub struct ShardedBackend {
 
 impl ShardedBackend {
     /// Partitions `dataset` and gives every shard a statically planned
-    /// [`ShardAutoBackend`] (deterministic; what
-    /// [`crate::engine::build_backend`] uses).
+    /// routing core over [`AutoBackend::DEFAULT_CANDIDATES`]
+    /// (deterministic; what [`crate::engine::build_backend`] uses).
     pub fn build(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
-        Self::assemble(dataset, shards, by, threads, ShardAutoBackend::new)
+        Self::assemble(dataset, shards, by, threads, |sub| {
+            RoutingCore::new(sub, &AutoBackend::DEFAULT_CANDIDATES)
+        })
     }
 
     /// Like [`ShardedBackend::build`], but each shard calibrates its
@@ -610,8 +336,7 @@ impl ShardedBackend {
     /// measured costs (the serving daemon's choice).
     pub fn calibrated(dataset: &Dataset, shards: usize, by: ShardBy, threads: usize) -> Self {
         Self::assemble(dataset, shards, by, threads, |sub| {
-            let probe = AutoBackend::default_probe(&sub);
-            ShardAutoBackend::calibrated(sub, &probe)
+            RoutingCore::calibrated(sub, &AutoBackend::default_probe(sub))
         })
     }
 
@@ -631,11 +356,12 @@ impl ShardedBackend {
         probe: &Workload,
     ) -> Self {
         Self::assemble(dataset, shards, by, threads, |sub| {
-            ShardAutoBackend::calibrated(sub, probe)
+            RoutingCore::calibrated(sub, probe)
         })
     }
 
-    /// Pins every shard to one fixed arm (`choice`).
+    /// Pins every shard to one fixed arm (`choice`): each shard's
+    /// planner has that single candidate.
     pub fn with_fixed_arm(
         dataset: &Dataset,
         shards: usize,
@@ -643,9 +369,7 @@ impl ShardedBackend {
         threads: usize,
         choice: BackendChoice,
     ) -> Self {
-        Self::assemble(dataset, shards, by, threads, move |sub| {
-            ShardAutoBackend::fixed(sub, choice)
-        })
+        Self::assemble(dataset, shards, by, threads, |sub| RoutingCore::new(sub, &[choice]))
     }
 
     fn assemble(
@@ -653,24 +377,18 @@ impl ShardedBackend {
         shards: usize,
         by: ShardBy,
         threads: usize,
-        make: impl Fn(Dataset) -> ShardAutoBackend,
+        make: impl Fn(&Dataset) -> RoutingCore,
     ) -> Self {
         let shards = partition_ids(dataset, shards, by)
             .into_iter()
             .map(|globals| {
-                let sub = materialize(dataset, &globals);
-                // One allocation, two handles: the erased `Box<dyn
-                // Backend>` for the query fan-out and the typed `Arc`
-                // the replan tick reaches each shard's planner through.
-                let auto = Arc::new(make(sub));
-                Shard {
-                    backend: Box::new(Arc::clone(&auto)),
-                    ids: ShardIds::Table(globals),
-                    live: None,
-                    auto: Some(auto),
-                    queries: AtomicU64::new(0),
-                    matches: AtomicU64::new(0),
-                }
+                let dataset = materialize(dataset, &globals);
+                let core = Box::new(make(&dataset));
+                Shard::new(ShardEngine::Frozen {
+                    dataset,
+                    core,
+                    globals,
+                })
             })
             .collect();
         Self {
@@ -737,15 +455,9 @@ impl ShardedBackend {
         let shards = parts
             .into_iter()
             .map(|(data, globals)| {
-                let engine = Arc::new(LiveEngine::seeded(data, globals, next_id, cfg));
-                Shard {
-                    backend: Box::new(Arc::clone(&engine)),
-                    ids: ShardIds::Global,
-                    live: Some(engine),
-                    auto: None,
-                    queries: AtomicU64::new(0),
-                    matches: AtomicU64::new(0),
-                }
+                Shard::new(ShardEngine::Live(LiveEngine::seeded(
+                    data, globals, next_id, cfg,
+                )))
             })
             .collect();
         Ok(Self {
@@ -782,8 +494,7 @@ impl ShardedBackend {
 
     fn live_shard(&self, index: usize) -> &LiveEngine {
         self.shards[index]
-            .live
-            .as_ref()
+            .live()
             .expect("live composites hold only live shards")
     }
 
@@ -799,21 +510,19 @@ impl ShardedBackend {
 
     /// One self-tuning tick across every shard, each against its own
     /// evidence: frozen shards re-derive their planner from their own
-    /// [`ObservationGrid`], live shards re-read their own `LiveStats`
-    /// gauges and re-pick their segment arm — so a freshly-flushed
-    /// shard can prefer its V7/V8 segments while a memtable-heavy
-    /// neighbour stays on the flat scan. Returns how many shards
-    /// actually changed plan this tick.
+    /// [`crate::ObservationGrid`], live shards re-read their own
+    /// `LiveStats` gauges and re-pick their segment arm — so a
+    /// freshly-flushed shard can prefer its V7/V8 segments while a
+    /// memtable-heavy neighbour stays on the flat scan. Returns how
+    /// many shards actually changed plan this tick.
     pub fn replan(&self) -> usize {
         self.shards
             .iter()
             .map(|shard| {
-                let swapped = match (&shard.auto, &shard.live) {
-                    (Some(auto), _) => auto.replan(),
-                    (None, Some(engine)) => engine.replan(),
-                    (None, None) => false,
-                };
-                usize::from(swapped)
+                usize::from(match &shard.engine {
+                    ShardEngine::Frozen { core, .. } => core.replan(),
+                    ShardEngine::Live(engine) => engine.replan(),
+                })
             })
             .sum()
     }
@@ -822,10 +531,9 @@ impl ShardedBackend {
     pub fn plan_epoch(&self) -> u64 {
         self.shards
             .iter()
-            .map(|shard| match (&shard.auto, &shard.live) {
-                (Some(auto), _) => auto.plan_epoch(),
-                (None, Some(engine)) => engine.plan_epoch(),
-                (None, None) => 0,
+            .map(|shard| match &shard.engine {
+                ShardEngine::Frozen { core, .. } => core.plan_epoch(),
+                ShardEngine::Live(engine) => engine.plan_epoch(),
             })
             .sum()
     }
@@ -844,18 +552,14 @@ impl ShardedBackend {
     /// CLI's `explain` renders per-shard snapshots and decision tables
     /// from these).
     pub fn shard_diags(&self) -> Vec<BackendDiag> {
-        self.shards.iter().map(|s| s.backend.diag()).collect()
+        self.shards.iter().map(Shard::diag).collect()
     }
 
     /// One query against every shard under `strategy`, returning the
     /// merged global result and total DP cells.
     fn fan_out(&self, query: &[u8], k: u32, strategy: Strategy) -> (MatchSet, u64) {
         let parts = run_queries(strategy, self.shards.len(), |i| {
-            let shard = &self.shards[i];
-            let (local, cells) = shard.backend.search_counting(query, k);
-            shard.queries.fetch_add(1, Ordering::Relaxed);
-            shard.matches.fetch_add(local.len() as u64, Ordering::Relaxed);
-            (shard.remap(&local), cells)
+            self.shards[i].search(query, k)
         });
         let cells = parts.iter().map(|(_, c)| c).sum();
         let sets: Vec<MatchSet> = parts.into_iter().map(|(s, _)| s).collect();
@@ -878,7 +582,9 @@ impl Backend for ShardedBackend {
 
     fn prepare(&self) {
         for shard in &self.shards {
-            shard.backend.prepare();
+            if let ShardEngine::Frozen { dataset, core, .. } = &shard.engine {
+                core.prepare(dataset);
+            }
         }
     }
 
@@ -898,7 +604,10 @@ impl Backend for ShardedBackend {
         // shard, not the sum.
         self.shards
             .iter()
-            .map(|s| s.backend.cost_hint(snapshot, query_len, k))
+            .map(|s| match &s.engine {
+                ShardEngine::Frozen { core, .. } => core.cost_hint(snapshot, query_len, k),
+                ShardEngine::Live(engine) => engine.cost_hint(snapshot, query_len, k),
+            })
             .fold(0.0, f64::max)
     }
 
@@ -913,22 +622,33 @@ impl Backend for ShardedBackend {
 
     fn plan_counts(&self) -> Option<Vec<(&'static str, u64)>> {
         // Cross-shard aggregate per arm name; per-shard breakdowns come
-        // from `shard_stats`.
-        let mut agg: Vec<(&'static str, u64)> = Vec::new();
-        let mut any = false;
-        for shard in &self.shards {
-            if let Some(counts) = shard.backend.plan_counts() {
-                any = true;
-                for (name, c) in counts {
-                    if let Some(entry) = agg.iter_mut().find(|(n, _)| *n == name) {
-                        entry.1 += c;
-                    } else {
-                        agg.push((name, c));
-                    }
-                }
-            }
+        // from `shard_stats`. Live shards route by segment arm, not by
+        // planner, so a live composite has no counters.
+        (!self.is_live()).then(|| {
+            sum_by_name(self.shards.iter().filter_map(Shard::core).map(RoutingCore::plan_counts))
+        })
+    }
+
+    fn replan_tick(&self) -> Option<u64> {
+        Some(self.replan() as u64)
+    }
+
+    fn plan_epoch_total(&self) -> Option<u64> {
+        Some(self.plan_epoch())
+    }
+
+    fn arm_nanos(&self) -> Option<Vec<(&'static str, u64)>> {
+        (!self.is_live()).then(|| {
+            sum_by_name(self.shards.iter().filter_map(Shard::core).map(RoutingCore::arm_nanos))
+        })
+    }
+
+    fn as_mutable(&self) -> Option<&dyn MutableBackend> {
+        if self.is_live() {
+            Some(self)
+        } else {
+            None
         }
-        any.then_some(agg)
     }
 
     fn shard_stats(&self) -> Option<Vec<ShardStats>> {
@@ -939,8 +659,8 @@ impl Backend for ShardedBackend {
                     records: s.records(),
                     queries: s.queries.load(Ordering::Relaxed),
                     matches: s.matches.load(Ordering::Relaxed),
-                    plan_counts: s.backend.plan_counts(),
-                    live: s.live.as_ref().map(|engine| engine.stats()),
+                    plan_counts: s.core().map(RoutingCore::plan_counts),
+                    live: s.live().map(LiveEngine::stats),
                 })
                 .collect(),
         )
@@ -975,12 +695,8 @@ impl Backend for ShardedBackend {
         // themselves stay sequential.
         if s > 1 && pool > 1 && nq < pool * 4 {
             let mut parts = run_queries(strategy, nq * s, |i| {
-                let shard = &self.shards[i / nq];
                 let q = &workload.queries[i % nq];
-                let (local, _) = shard.backend.search_counting(&q.text, q.threshold);
-                shard.queries.fetch_add(1, Ordering::Relaxed);
-                shard.matches.fetch_add(local.len() as u64, Ordering::Relaxed);
-                shard.remap(&local)
+                self.shards[i / nq].search(&q.text, q.threshold).0
             });
             return (0..nq)
                 .map(|qi| {
@@ -1067,7 +783,7 @@ impl MutableBackend for ShardedBackend {
 mod tests {
     use super::*;
     use simsearch_data::QueryRecord;
-    use simsearch_scan::SeqVariant;
+    use simsearch_scan::{SeqVariant, SequentialScan};
 
     fn dataset() -> Dataset {
         Dataset::from_records([
@@ -1169,6 +885,29 @@ mod tests {
         let total_matches: u64 = stats.iter().map(|s| s.matches).sum();
         let expected_matches: usize = oracle(&ds, &w).iter().map(MatchSet::len).sum();
         assert_eq!(total_matches, expected_matches as u64);
+    }
+
+    #[test]
+    fn arm_nanos_sum_the_shard_grids_per_arm() {
+        let ds = dataset();
+        let w = workload();
+        let backend = ShardedBackend::build(&ds, 3, ShardBy::Hash, 1);
+        let _ = backend.run_workload(&w);
+        let summed = Backend::arm_nanos(&backend).expect("frozen composites time their arms");
+        for (name, nanos) in &summed {
+            let per_shard: u64 = backend
+                .shards
+                .iter()
+                .filter_map(Shard::core)
+                .flat_map(RoutingCore::arm_nanos)
+                .filter(|(n, _)| n == name)
+                .map(|(_, v)| v)
+                .sum();
+            assert_eq!(*nanos, per_shard, "{name}");
+        }
+        assert!(summed.iter().any(|(_, n)| *n > 0));
+        let live = ShardedBackend::live(&ds, 2, ShardBy::Hash, 1, LsmConfig::default()).unwrap();
+        assert!(Backend::arm_nanos(&live).is_none(), "live shards keep no grid");
     }
 
     #[test]

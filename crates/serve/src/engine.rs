@@ -1,45 +1,27 @@
 //! The daemon-side engine wrapper: one prepared backend, shared by
 //! every request for the server's whole lifetime.
 //!
-//! Since the planner refactor this is a thin shell over the
-//! [`Backend`] trait: `build` maps the configured [`EngineKind`] to
-//! one trait object (calibrating the planner when the kind is
-//! `Auto`), prepares it once at startup, and every request reuses the
-//! prepared state. DP-cell counting and top-k deepening are trait
-//! methods now, so the V7 scan needs no special case — any backend
-//! that counts cells feeds the metrics registry's `dp_cells` counter,
-//! and planner-driven backends expose their `plan_decisions` counters
-//! through [`ServedEngine::plan_counts`].
+//! This is a thin shell over the [`Backend`] trait: `build` maps the
+//! configured [`EngineKind`] to one trait object (calibrating the
+//! planners when the kind is `Auto` or `Sharded`), prepares it once at
+//! startup, and every request reuses the prepared state. Everything
+//! beyond reads — the replan tick, the plan epoch, calibration
+//! save/restore, `arm_nanos`, and `INSERT`/`DELETE`/compaction — goes
+//! through the trait's capability methods, so the daemon holds one
+//! engine handle whatever the kind.
 
 use crate::metrics::Metrics;
 use crate::protocol::JoinAlgo;
 use simsearch_core::{
     build_backend, calibration, min_join_with_stats, pass_join_with_stats, AutoBackend, Backend,
-    EngineKind, JoinPair, JoinStats, LiveEngine, LsmConfig, MinJoinConfig, MutableBackend,
-    ShardedBackend, Strategy,
+    EngineKind, JoinPair, JoinStats, MinJoinConfig, ShardedBackend, Strategy,
 };
 use simsearch_data::{Dataset, Match, MatchSet};
 use std::path::Path;
-use std::sync::Arc;
 
 /// The engine a running `simsearchd` answers with.
 pub(crate) struct ServedEngine<'a> {
     backend: Box<dyn Backend + 'a>,
-    /// Typed handle to the planner-driven unsharded engine, for the
-    /// replan tick and calibration persistence. The same `Arc` sits in
-    /// `backend` (read path); `None` for every other kind.
-    auto: Option<Arc<AutoBackend<'a>>>,
-    /// Typed handle to a sharded composite (frozen or live) — the
-    /// replan tick fans out to every shard through it.
-    sharded: Option<Arc<ShardedBackend>>,
-    /// Typed handle to the unsharded live engine, whose replan flips
-    /// the segment arm between V7 and V8.
-    live_engine: Option<Arc<LiveEngine>>,
-    /// Set when the engine is mutable: the mutation surface
-    /// (`INSERT`/`DELETE`, compaction) reaches the same engine the read
-    /// path queries — an unsharded [`LiveEngine`] or a sharded-live
-    /// composite, behind one trait. `None` for every frozen engine.
-    live: Option<Arc<dyn MutableBackend>>,
     /// The frozen seed dataset — `JOIN` runs over this. Live engines
     /// refuse `JOIN` (the dataset shifts under the join), so the field
     /// staying at the seed is never observable there.
@@ -49,75 +31,28 @@ pub(crate) struct ServedEngine<'a> {
 }
 
 impl<'a> ServedEngine<'a> {
-    /// Builds (and prepares) the backend once, at server startup. For
-    /// `EngineKind::Auto` the planner is calibrated with a micro-probe
-    /// drawn from the dataset ([`AutoBackend::default_probe`]) — build
-    /// cost, like index construction, lands here and not in the first
-    /// request.
+    /// Builds (and prepares) the backend once, at server startup.
+    /// Planner-driven kinds calibrate with a micro-probe drawn from the
+    /// data ([`AutoBackend::default_probe`] — per shard for `Sharded`):
+    /// build cost, like index construction, lands here and not in the
+    /// first request.
     pub fn build(dataset: &'a Dataset, kind: EngineKind) -> Self {
-        let mut live = None;
-        let mut auto = None;
-        let mut sharded = None;
-        let mut live_engine = None;
         let backend: Box<dyn Backend + 'a> = match kind {
-            EngineKind::Auto { threads } => {
-                let engine = Arc::new(AutoBackend::calibrated(
-                    dataset,
-                    threads,
-                    &AutoBackend::default_probe(dataset),
-                ));
-                auto = Some(Arc::clone(&engine));
-                Box::new(engine)
-            }
-            // A served sharded engine calibrates every shard's planner
-            // against that shard's own records at startup.
+            EngineKind::Auto { threads } => Box::new(AutoBackend::calibrated(
+                dataset,
+                threads,
+                &AutoBackend::default_probe(dataset),
+            )),
             EngineKind::Sharded {
                 shards,
                 by,
                 threads,
-            } => {
-                let composite = Arc::new(ShardedBackend::calibrated(dataset, shards, by, threads));
-                sharded = Some(Arc::clone(&composite));
-                Box::new(composite)
-            }
-            // Live engines are shared between the read path (this
-            // backend slot) and the mutation surface — the same `Arc`
-            // serves both, `Backend` on one side and `MutableBackend`
-            // on the other.
-            EngineKind::Live { memtable_cap } => {
-                let engine = Arc::new(LiveEngine::from_dataset(
-                    dataset,
-                    LsmConfig { memtable_cap },
-                ));
-                live = Some(engine.clone() as Arc<dyn MutableBackend>);
-                live_engine = Some(Arc::clone(&engine));
-                Box::new(engine)
-            }
-            EngineKind::ShardedLive {
-                shards,
-                by,
-                threads,
-                memtable_cap,
-            } => {
-                // `spawn` and the CLI validate the kind before reaching
-                // this; a panic here means a caller skipped validation.
-                let composite = Arc::new(
-                    ShardedBackend::live(dataset, shards, by, threads, LsmConfig { memtable_cap })
-                        .expect("EngineKind::validate rejects invalid sharded-live configs"),
-                );
-                live = Some(composite.clone() as Arc<dyn MutableBackend>);
-                sharded = Some(Arc::clone(&composite));
-                Box::new(composite)
-            }
+            } => Box::new(ShardedBackend::calibrated(dataset, shards, by, threads)),
             other => build_backend(dataset, other),
         };
         backend.prepare();
         Self {
             backend,
-            auto,
-            sharded,
-            live_engine,
-            live,
             dataset,
             name: kind.name(),
             records: dataset.len(),
@@ -126,18 +61,18 @@ impl<'a> ServedEngine<'a> {
 
     /// Whether this engine accepts `INSERT`/`DELETE`.
     pub fn is_live(&self) -> bool {
-        self.live.is_some()
+        self.backend.as_mutable().is_some()
     }
 
     /// Appends a record on a live engine; `None` on read-only engines.
     pub fn insert(&self, record: &[u8]) -> Option<u32> {
-        self.live.as_ref().map(|l| l.insert(record))
+        self.backend.as_mutable().map(|l| l.insert(record))
     }
 
     /// Tombstones a record on a live engine; `None` on read-only
     /// engines, `Some(existed)` otherwise.
     pub fn delete(&self, id: u32) -> Option<bool> {
-        self.live.as_ref().map(|l| l.delete(id))
+        self.backend.as_mutable().map(|l| l.delete(id))
     }
 
     /// Self-joins the frozen dataset within distance `k`; `None` on
@@ -146,7 +81,7 @@ impl<'a> ServedEngine<'a> {
     /// concurrency from the batch workers rather than nesting a pool
     /// per request.
     pub fn join(&self, k: u32, algo: JoinAlgo) -> Option<(Vec<JoinPair>, JoinStats)> {
-        if self.live.is_some() {
+        if self.is_live() {
             return None;
         }
         Some(match algo {
@@ -164,7 +99,9 @@ impl<'a> ServedEngine<'a> {
     /// Called by the batch workers between chunks — compaction rides
     /// the worker threads, no dedicated compaction thread needed.
     pub fn maybe_compact(&self) -> bool {
-        self.live.as_ref().is_some_and(|l| l.maybe_compact())
+        self.backend
+            .as_mutable()
+            .is_some_and(|l| l.maybe_compact())
     }
 
     /// Publishes the live engine's structural state into the metrics
@@ -174,7 +111,7 @@ impl<'a> ServedEngine<'a> {
     /// so the per-shard `live_shards` entries sum to them by
     /// construction.
     pub fn publish_live(&self, metrics: &Metrics) {
-        if let Some(live) = &self.live {
+        if let Some(live) = self.backend.as_mutable() {
             let stats = live.live_stats();
             metrics.memtable_len.set(stats.memtable_len);
             metrics.segments.set(stats.segments);
@@ -240,73 +177,51 @@ impl<'a> ServedEngine<'a> {
     /// move to its V7/V8 segments while a memtable-heavy neighbour
     /// keeps the flat scan.
     pub fn replan(&self) -> u64 {
-        if let Some(auto) = &self.auto {
-            return u64::from(auto.replan());
-        }
-        if let Some(sharded) = &self.sharded {
-            return sharded.replan() as u64;
-        }
-        if let Some(engine) = &self.live_engine {
-            return u64::from(engine.replan());
-        }
-        0
+        self.backend.replan_tick().unwrap_or(0)
     }
 
     /// The engine's plan epoch: 0 until the first accepted swap, then
     /// +1 per swap (summed over shards for sharded engines). A restart
     /// that installs persisted calibration starts above 0.
     pub fn plan_epoch(&self) -> u64 {
-        if let Some(auto) = &self.auto {
-            return auto.plan_epoch();
-        }
-        if let Some(sharded) = &self.sharded {
-            return sharded.plan_epoch();
-        }
-        if let Some(engine) = &self.live_engine {
-            return engine.plan_epoch();
-        }
-        0
+        self.backend.plan_epoch_total().unwrap_or(0)
     }
 
-    /// Restores persisted calibration into the planner (unsharded
-    /// planner engines only) and swaps it in, bumping the plan epoch
-    /// above 0. Returns `false` — leaving the static table in place —
-    /// when the engine is not an unsharded `auto`, the file is missing
-    /// or unreadable, or the persisted snapshot mismatches the dataset
+    /// Restores persisted calibration into the planner and swaps it in,
+    /// bumping the plan epoch above 0. Returns `false` — leaving the
+    /// static table in place — when the engine has no persistable
+    /// calibration (only unsharded `auto` has), the file is missing or
+    /// unreadable, or the persisted snapshot mismatches the dataset
     /// being served (stale calibration must not route today's data).
     pub fn install_calibration(&self, path: &Path) -> bool {
-        let Some(auto) = &self.auto else {
+        let Some(current) = self.backend.calibration() else {
             return false;
         };
-        let current = auto.planner();
-        match calibration::load_calibration(path, current.snapshot(), current.candidates()) {
-            Some(restored) => auto.set_planner(restored),
-            None => false,
-        }
+        calibration::load_calibration(path, current.snapshot(), current.candidates())
+            .is_some_and(|restored| self.backend.restore_calibration(restored))
     }
 
     /// Persists the current calibrated planner next to a freshly built
-    /// radix index (unsharded planner engines only). `Ok(false)` when
-    /// the engine has nothing to persist.
+    /// radix index. `Ok(false)` when the engine has nothing to persist.
     ///
     /// # Errors
     /// Any underlying I/O error from writing the dump.
     pub fn save_calibration(&self, path: &Path) -> std::io::Result<bool> {
-        let Some(auto) = &self.auto else {
+        let Some(planner) = self.backend.calibration() else {
             return Ok(false);
         };
-        calibration::save_calibration(path, self.dataset, &auto.planner())?;
+        calibration::save_calibration(path, self.dataset, &planner)?;
         Ok(true)
     }
 
     /// Mirrors the replanning state into the metrics registry: the
-    /// current plan epoch and (for unsharded planner engines) the
-    /// pooled per-arm observed nanoseconds the next replan will derive
-    /// its multipliers from.
+    /// current plan epoch and the pooled per-arm observed nanoseconds
+    /// the next replan will derive its multipliers from (summed over
+    /// shards for sharded engines).
     pub fn publish_replan(&self, metrics: &Metrics) {
         metrics.plan_epoch.set(self.plan_epoch());
-        if let Some(auto) = &self.auto {
-            metrics.arm_nanos.publish(&auto.observed_arm_nanos());
+        if let Some(nanos) = self.backend.arm_nanos() {
+            metrics.arm_nanos.publish(&nanos);
         }
     }
 
@@ -484,6 +399,78 @@ mod tests {
         let fixed = ServedEngine::build(&ds, EngineKind::Scan(SeqVariant::V4Flat));
         assert!(!fixed.save_calibration(&path).unwrap());
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn capabilities_follow_the_engine_kind() {
+        use simsearch_core::{KernelKind, ShardBy};
+        let ds = dataset();
+        let path = std::env::temp_dir().join(format!(
+            "simsearch-served-capabilities-{}",
+            std::process::id()
+        ));
+        let (hash, seq) = (ShardBy::Hash, Strategy::Sequential);
+        // (kind, mutable, planner, persisted calibration)
+        #[rustfmt::skip]
+        let table = [
+            (EngineKind::Scan(SeqVariant::V4Flat), false, false, false),
+            (EngineKind::ScanCustom { kernel: KernelKind::Myers, strategy: seq }, false, false, false),
+            (EngineKind::Index(IdxVariant::I1BaseTrie), false, false, false),
+            (EngineKind::IndexModern(IdxVariant::I2Compressed), false, false, false),
+            (EngineKind::RadixFreq { strategy: seq }, false, false, false),
+            (EngineKind::Qgram { q: 2, strategy: seq }, false, false, false),
+            (EngineKind::Buckets { strategy: seq }, false, false, false),
+            (EngineKind::Suffix { strategy: seq }, false, false, false),
+            (EngineKind::Bk { strategy: seq }, false, false, false),
+            (EngineKind::Auto { threads: 1 }, false, true, true),
+            (EngineKind::Sharded { shards: 2, by: hash, threads: 1 }, false, true, false),
+            (EngineKind::Live { memtable_cap: 2 }, true, true, false),
+            (EngineKind::ShardedLive { shards: 2, by: hash, threads: 1, memtable_cap: 2 }, true, true, false),
+        ];
+        for (kind, mutable, planner, persisted) in table {
+            let engine = ServedEngine::build(&ds, kind);
+            let name = engine.name().to_string();
+            assert_eq!(engine.backend.as_mutable().is_some(), mutable, "{name}");
+            assert_eq!(engine.is_live(), mutable, "{name}");
+            assert_eq!(engine.backend.replan_tick().is_some(), planner, "{name}");
+            assert_eq!(engine.backend.plan_epoch_total().is_some(), planner, "{name}");
+            assert_eq!(engine.backend.calibration().is_some(), persisted, "{name}");
+            assert_eq!(engine.save_calibration(&path).unwrap(), persisted, "{name}");
+            assert_eq!(path.exists(), persisted, "{name}");
+            let _ = std::fs::remove_file(&path);
+            assert_eq!(engine.insert(b"Ulmen").is_some(), mutable, "{name}");
+            assert_eq!(engine.join(1, JoinAlgo::Pass).is_none(), mutable, "{name}");
+        }
+    }
+
+    #[test]
+    fn sharded_engines_publish_arm_nanos_summed_over_shards() {
+        let ds = dataset();
+        let sharded = ServedEngine::build(
+            &ds,
+            EngineKind::Sharded {
+                shards: 2,
+                by: simsearch_core::ShardBy::Hash,
+                threads: 1,
+            },
+        );
+        for _ in 0..4 {
+            let _ = sharded.search(b"Berlin", 1);
+            let _ = sharded.search(b"Ulm", 1);
+        }
+        let metrics = Metrics::new();
+        sharded.publish_replan(&metrics);
+        let nanos = metrics.arm_nanos.snapshot();
+        let names: Vec<&str> = nanos.iter().map(|(n, _)| n.as_str()).collect();
+        let candidates: Vec<&str> = AutoBackend::DEFAULT_CANDIDATES
+            .iter()
+            .map(|c| c.name())
+            .collect();
+        assert_eq!(names, candidates, "one entry per arm, not per shard");
+        assert!(
+            nanos.iter().any(|(_, n)| *n > 0),
+            "routed shard queries are timed: {nanos:?}"
+        );
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! same k results in the same tie-break order as an unsharded backend,
 //! including k larger than any single shard can answer alone. And the
 //! accounting holds: every shard sees every query, and each shard's
-//! per-arm decision counters sum to exactly the workload size.
+//! per-arm decision counters sum to exactly the workload size. A single
+//! shard routes exactly like the unsharded planner-driven backend: both
+//! run the same routing core.
 
 use simsearch_core::{
-    build_backend, Backend, EngineKind, SearchEngine, SeqVariant, ShardBy, ShardedBackend,
-    Strategy,
+    build_backend, AutoBackend, Backend, EngineKind, SearchEngine, SeqVariant, ShardBy,
+    ShardedBackend, Strategy,
 };
 use simsearch_data::{Alphabet, Dataset, CityGenerator, DnaGenerator, MatchSet, WorkloadSpec};
 
@@ -217,4 +219,35 @@ fn empty_and_oversharded_datasets_answer_like_the_oracle() {
     let empty = Dataset::from_records(Vec::<&[u8]>::new());
     let backend = ShardedBackend::build(&empty, 3, ShardBy::Hash, 1);
     assert_eq!(backend.search(b"anything", 3), MatchSet::default());
+}
+
+#[test]
+fn one_shard_routes_exactly_like_the_unsharded_auto_backend() {
+    for (name, dataset) in presets() {
+        let workload = workload_for(&dataset);
+        let auto = AutoBackend::new(&dataset, 1);
+        for by in PARTITIONERS {
+            let sharded = ShardedBackend::build(&dataset, 1, by, 1);
+            let ours = auto.diag().plan.expect("auto reports its plan");
+            let theirs = sharded.shard_diags()[0]
+                .plan
+                .clone()
+                .expect("a frozen shard reports its plan");
+            assert_eq!(theirs.snapshot, ours.snapshot, "{name}/{}", by.name());
+            assert_eq!(theirs.decisions, ours.decisions, "{name}/{}", by.name());
+
+            let fresh = AutoBackend::new(&dataset, 1);
+            assert_eq!(
+                sharded.run_with_strategy(&workload, Strategy::Sequential),
+                fresh.run_with_strategy(&workload, Strategy::Sequential),
+                "{name}/{}",
+                by.name()
+            );
+            let routed = fresh.plan_counts();
+            assert_eq!(routed.iter().map(|(_, c)| c).sum::<u64>(), workload.len() as u64);
+            assert_eq!(sharded.plan_counts(), Some(routed.clone()), "{name}/{}", by.name());
+            let shard = &sharded.shard_stats().expect("shard stats")[0];
+            assert_eq!(shard.plan_counts, Some(routed), "{name}/{}", by.name());
+        }
+    }
 }
