@@ -14,6 +14,9 @@ cargo test -q --offline --workspace
 cargo test -q --offline --benches -p simsearch-bench
 cargo test -q --offline --bench ablation_lcp_reuse -p simsearch-bench
 cargo clippy --offline --workspace --all-targets -- -D warnings
+# Rustdoc gate: a dangling or ambiguous intra-doc link (say, to an item
+# a refactor deleted) fails the build instead of rendering as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 # The served benchmark (perfbench/, a workspace of its own) builds
 # against core's and serve's public API; its tests are the step that
 # notices when a refactor of those crates breaks it.

@@ -33,13 +33,6 @@ fn main() {
             },
         );
         group.bench("qgram_index", || qgram.run(&workload));
-        let suffix = SearchEngine::build(
-            &preset.dataset,
-            EngineKind::Suffix {
-                strategy: Strategy::Sequential,
-            },
-        );
-        group.bench("suffix_array", || suffix.run(&workload));
         group.finish();
     }
 }

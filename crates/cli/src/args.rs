@@ -163,14 +163,10 @@ pub enum EngineChoice {
     Radix,
     /// Inverted q-gram index.
     Qgram,
-    /// Length-bucketed scan.
-    Buckets,
     /// LCP-resumable scan over the sorted arena (rung 7).
     ScanSorted,
     /// Bit-parallel Myers sweep over the sorted arena (rung 8).
     ScanBitParallel,
-    /// BK-tree metric index baseline.
-    BkTree,
     /// Adaptive planner: route each query to the cheapest backend.
     Auto,
 }
@@ -185,11 +181,9 @@ impl EngineChoice {
             "trie" => Ok(Self::Trie),
             "radix" => Ok(Self::Radix),
             "qgram" => Ok(Self::Qgram),
-            "buckets" => Ok(Self::Buckets),
-            "bktree" | "bk-tree" => Ok(Self::BkTree),
             "auto" => Ok(Self::Auto),
             other => Err(format!(
-                "unknown engine '{other}' (expected auto, scan, scan-base, scan-sorted, scan-bitparallel, trie, radix, qgram, buckets, bktree)"
+                "unknown engine '{other}' (expected auto, scan, scan-base, scan-sorted, scan-bitparallel, trie, radix, qgram)"
             )),
         }
     }
@@ -218,7 +212,7 @@ simsearch — string similarity search (EDBT 2013 reproduction)
 
 USAGE:
   simsearch search --data FILE --queries FILE [--output FILE]
-                   [--backend auto|scan|scan-base|scan-sorted|scan-bitparallel|trie|radix|qgram|buckets|bktree]
+                   [--backend auto|scan|scan-base|scan-sorted|scan-bitparallel|trie|radix|qgram]
                    [--threads N] [--shards N] [--shard-by len|hash]
   simsearch explain --data FILE [--queries FILE] [--threads N]
                     [--shards N] [--shard-by len|hash]
@@ -910,17 +904,19 @@ mod tests {
             Command::Search(a) => assert_eq!(a.engine, EngineChoice::Auto),
             other => panic!("wrong parse: {other:?}"),
         }
-        let cmd = parse(&v(&["serve", "--data", "d", "--backend", "bktree"])).unwrap();
-        match cmd {
-            Command::Serve(s) => assert_eq!(s.engine, EngineChoice::BkTree),
-            other => panic!("wrong parse: {other:?}"),
+    }
+
+    #[test]
+    fn removed_engines_are_unknown() {
+        for name in ["buckets", "bktree", "bk-tree"] {
+            let err = parse(&v(&["serve", "--data", "d", "--backend", name])).unwrap_err();
+            assert!(err.contains(&format!("unknown engine '{name}'")), "{err}");
+            let err = parse(&v(&[
+                "search", "--data", "d", "--queries", "q", "--engine", name,
+            ]))
+            .unwrap_err();
+            assert!(err.contains(&format!("unknown engine '{name}'")), "{err}");
         }
-        // "bk-tree" spelling is accepted too.
-        let cmd = parse(&v(&[
-            "search", "--data", "d", "--queries", "q", "--engine", "bk-tree",
-        ]))
-        .unwrap();
-        assert!(matches!(cmd, Command::Search(a) if a.engine == EngineChoice::BkTree));
     }
 
     #[test]

@@ -79,8 +79,6 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
             IdxVariant::I2Compressed
         }),
         EngineChoice::Qgram => EngineKind::Qgram { q: 2, strategy },
-        EngineChoice::Buckets => EngineKind::Buckets { strategy },
-        EngineChoice::BkTree => EngineKind::Bk { strategy },
         EngineChoice::Auto => EngineKind::Auto { threads: a.threads },
     };
     let (engine, build_time) = time(|| match a.engine {
@@ -116,24 +114,30 @@ fn run_search(a: SearchArgs) -> Result<(), String> {
 /// for `auto` (each shard then calibrates its own planner). `scan` and
 /// `scan-base` both map to the flat scan arm — shard-local scheduling
 /// is the sharded backend's job, and the naive rung exists only as an
-/// unsharded baseline.
-fn shard_arm(choice: EngineChoice) -> Option<BackendChoice> {
-    match choice {
+/// unsharded baseline. Shards run only planner arms, so `trie` (no arm)
+/// is refused.
+fn shard_arm(choice: EngineChoice) -> Result<Option<BackendChoice>, String> {
+    Ok(match choice {
         EngineChoice::Auto => None,
         EngineChoice::Scan | EngineChoice::ScanBase => Some(BackendChoice::ScanFlat),
         EngineChoice::ScanSorted => Some(BackendChoice::ScanSorted),
         EngineChoice::ScanBitParallel => Some(BackendChoice::ScanBitParallel),
-        EngineChoice::Trie => Some(BackendChoice::Trie),
         EngineChoice::Radix => Some(BackendChoice::Radix),
         EngineChoice::Qgram => Some(BackendChoice::Qgram),
-        EngineChoice::Buckets => Some(BackendChoice::Buckets),
-        EngineChoice::BkTree => Some(BackendChoice::BkTree),
-    }
+        EngineChoice::Trie => {
+            return Err(
+                "a sharded search (--shards N) runs auto, scan, scan-base, scan-sorted, \
+                 scan-bitparallel, radix or qgram, not trie"
+                    .into(),
+            )
+        }
+    })
 }
 
 fn run_search_sharded(a: &SearchArgs, dataset: &Dataset, workload: &Workload) -> Result<(), String> {
+    let arm = shard_arm(a.engine)?;
     let (backend, build_time) = time(|| {
-        let b = match shard_arm(a.engine) {
+        let b = match arm {
             // Auto: every shard calibrates against the same workload
             // prefix the unsharded path probes with, so per-shard
             // routing reflects the real query mix.
@@ -208,12 +212,6 @@ fn serve_engine_kind(choice: EngineChoice) -> EngineKind {
         EngineChoice::Radix => EngineKind::Index(IdxVariant::I2Compressed),
         EngineChoice::Qgram => EngineKind::Qgram {
             q: 2,
-            strategy: Strategy::Sequential,
-        },
-        EngineChoice::Buckets => EngineKind::Buckets {
-            strategy: Strategy::Sequential,
-        },
-        EngineChoice::BkTree => EngineKind::Bk {
             strategy: Strategy::Sequential,
         },
         // The serving layer calibrates the planner itself (see

@@ -109,3 +109,31 @@ fn verify_detects_divergence() {
     std::fs::remove_file(&a).unwrap();
     std::fs::remove_file(&b).unwrap();
 }
+
+#[test]
+fn sharded_search_refuses_an_engine_without_a_shard_arm() {
+    // A directory of its own: the round-trip test removes `tmpdir()`
+    // when it finishes, which may be while this test runs.
+    let dir = std::env::temp_dir().join(format!(
+        "simsearch-cli-e2e-sharded-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = dir.join("data");
+    let queries = dir.join("queries");
+    std::fs::write(&data, "Berlin\nBern\nUlm\n").unwrap();
+    std::fs::write(&queries, "Berlin\t1\n").unwrap();
+    let output = bin()
+        .args(["search", "--data", data.to_str().unwrap()])
+        .args(["--queries", queries.to_str().unwrap()])
+        .args(["--shards", "2", "--backend", "trie"])
+        .output()
+        .unwrap();
+    assert!(!output.status.success());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    for arm in ["auto", "scan-sorted", "scan-bitparallel", "radix", "qgram"] {
+        assert!(stderr.contains(arm), "error should name {arm}: {stderr}");
+    }
+    assert!(stderr.contains("not trie"), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

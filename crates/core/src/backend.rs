@@ -6,10 +6,10 @@
 //! CLI, the benches) hard-wired its choice. [`Backend`] is the shared
 //! abstraction they all speak now: *prepare once, then answer
 //! threshold queries* — with provided methods for DP-cell counting,
-//! top-k deepening, workload execution under any executor, cost hints
-//! for the planner, self-description for diagnostics, and capability
-//! methods (replanning, calibration persistence, mutation) that default
-//! to "no planner, not mutable".
+//! top-k deepening, workload execution under any executor,
+//! self-description for diagnostics, and capability methods
+//! (replanning, calibration persistence, mutation) that default to "no
+//! planner, not mutable".
 //!
 //! `RoutingCore` is the one planner-driven router: a planner slot,
 //! lazily built owned arms, routing counters and an [`ObservationGrid`],
@@ -28,7 +28,7 @@ use simsearch_data::alphabet::{DNA_SYMBOLS, VOWEL_SYMBOLS};
 use simsearch_data::{Alphabet, Dataset, Match, MatchSet, SortedView, StatsSnapshot, Workload};
 use simsearch_distance::KernelKind;
 use simsearch_filters::{FilterChain, FrequencyFilter, LengthFilter};
-use simsearch_index::{BkTree, LengthBuckets, QgramIndex, RadixTrie, SuffixIndex, Trie};
+use simsearch_index::{QgramIndex, RadixTrie, Trie};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
 use simsearch_scan::{v7_search_view, v8_search_view, SeqVariant, SequentialScan};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,13 +65,12 @@ pub struct PlanReport {
 
 /// One execution backend: prepare once, then answer threshold queries.
 ///
-/// Required methods are the per-query kernel ([`Backend::search`]), the
-/// planner hook ([`Backend::cost_hint`]) and self-description
-/// ([`Backend::diag`]). Everything else — cell counting, top-k
-/// deepening, workload execution — has defaults expressed in terms of
-/// those, which concrete backends override only when they can do
-/// better (the sorted scan counts DP cells; the scan rungs keep their
-/// paper-mandated scheduling).
+/// Required methods are the per-query kernel ([`Backend::search`]) and
+/// self-description ([`Backend::diag`]). Everything else — cell
+/// counting, top-k deepening, workload execution — has defaults
+/// expressed in terms of those, which concrete backends override only
+/// when they can do better (the sorted scan counts DP cells; the scan
+/// rungs keep their paper-mandated scheduling).
 pub trait Backend: Send + Sync {
     /// Human-readable name.
     fn name(&self) -> String;
@@ -110,10 +109,6 @@ pub trait Backend: Send + Sync {
         );
         (matches, cells)
     }
-
-    /// Estimated cost of one query under this backend, in the
-    /// planner's rough DP-cell units (lower is better).
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64;
 
     /// Self-description for diagnostics and metrics.
     fn diag(&self) -> BackendDiag;
@@ -224,10 +219,6 @@ impl<T: Backend + ?Sized> Backend for Arc<T> {
         (**self).search_top_k_with(query, count, max_radius)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        (**self).cost_hint(snapshot, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         (**self).diag()
     }
@@ -311,22 +302,6 @@ impl Backend for ScanBackend<'_> {
         }
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let choice = match self.variant {
-            SeqVariant::V7SortedPrefix => BackendChoice::ScanSorted,
-            SeqVariant::V8BitParallel => BackendChoice::ScanBitParallel,
-            _ => BackendChoice::ScanFlat,
-        };
-        let base = static_cost(snapshot, choice, query_len, k);
-        match self.variant {
-            // The deliberately wasteful early rungs: no filters, naive
-            // full-matrix DP, per-comparison allocations.
-            SeqVariant::V1Base => base * 25.0,
-            SeqVariant::V2FastEd | SeqVariant::V3Borrowed => base * 4.0,
-            _ => base,
-        }
-    }
-
     fn diag(&self) -> BackendDiag {
         let filters = match self.variant {
             SeqVariant::V1Base => vec![],
@@ -386,10 +361,6 @@ impl Backend for KernelScanBackend<'_> {
             .run_with(self.kernel, Strategy::Sequential, &w)
             .pop()
             .expect("one query in, one result out")
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
     }
 
     fn diag(&self) -> BackendDiag {
@@ -461,10 +432,6 @@ impl Backend for FilteredScanBackend<'_> {
         self.scan.search_filtered(&self.chain, query, k)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         BackendDiag {
             name: self.name(),
@@ -512,10 +479,6 @@ impl Backend for SortedScanBackend<'_> {
         self.scan.v7_search(query, k)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanSorted, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         BackendDiag {
             name: self.name(),
@@ -560,10 +523,6 @@ impl Backend for BitParallelScanBackend<'_> {
         self.scan.v8_search(query, k)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::ScanBitParallel, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         BackendDiag {
             name: self.name(),
@@ -604,15 +563,6 @@ impl Backend for TrieBackend {
             self.trie.search_paper(query, k)
         } else {
             self.trie.search(query, k)
-        }
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let base = static_cost(snapshot, BackendChoice::Trie, query_len, k);
-        if self.paper {
-            base * 3.0 // full-width rows, prefix-condition-only pruning
-        } else {
-            base
         }
     }
 
@@ -678,15 +628,6 @@ impl Backend for RadixBackend {
         }
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        let base = static_cost(snapshot, BackendChoice::Radix, query_len, k);
-        if self.paper {
-            base * 3.0
-        } else {
-            base
-        }
-    }
-
     fn diag(&self) -> BackendDiag {
         let mut filters = vec!["length"];
         if self.freq {
@@ -734,151 +675,11 @@ impl Backend for QgramBackend<'_> {
         self.idx.search(self.dataset, query, k)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::Qgram, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         BackendDiag {
             name: self.name(),
             structure: Some((self.idx.distinct_grams(), self.idx.memory_bytes())),
             filters: vec!["qgram-count", "length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The length-bucketed scan behind the trait.
-pub struct BucketsBackend<'a> {
-    dataset: &'a Dataset,
-    buckets: LengthBuckets,
-    strategy: Strategy,
-}
-
-impl<'a> BucketsBackend<'a> {
-    /// Builds the buckets.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            buckets: LengthBuckets::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for BucketsBackend<'_> {
-    fn name(&self) -> String {
-        format!("buckets[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.buckets.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::Buckets, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.buckets.bucket_count(), 0)),
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The suffix-array baseline behind the trait.
-pub struct SuffixBackend<'a> {
-    dataset: &'a Dataset,
-    idx: SuffixIndex,
-    strategy: Strategy,
-}
-
-impl<'a> SuffixBackend<'a> {
-    /// Builds the suffix index.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            idx: SuffixIndex::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for SuffixBackend<'_> {
-    fn name(&self) -> String {
-        format!("suffix-array[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.idx.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // No dedicated model: approximate with the flat scan's shape.
-        static_cost(snapshot, BackendChoice::ScanFlat, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.idx.record_count(), self.idx.memory_bytes())),
-            filters: vec!["length"],
-            plan: None,
-        }
-    }
-
-    fn preferred_strategy(&self) -> Strategy {
-        self.strategy
-    }
-}
-
-/// The Burkhard–Keller metric tree behind the trait.
-pub struct BkBackend<'a> {
-    dataset: &'a Dataset,
-    tree: BkTree,
-    strategy: Strategy,
-}
-
-impl<'a> BkBackend<'a> {
-    /// Builds the tree.
-    pub fn build(dataset: &'a Dataset, strategy: Strategy) -> Self {
-        Self {
-            dataset,
-            tree: BkTree::build(dataset),
-            strategy,
-        }
-    }
-}
-
-impl Backend for BkBackend<'_> {
-    fn name(&self) -> String {
-        format!("bk-tree[{}]", self.strategy.name())
-    }
-
-    fn search(&self, query: &[u8], k: u32) -> MatchSet {
-        self.tree.search(self.dataset, query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        static_cost(snapshot, BackendChoice::BkTree, query_len, k)
-    }
-
-    fn diag(&self) -> BackendDiag {
-        BackendDiag {
-            name: self.name(),
-            structure: Some((self.tree.node_count(), 0)),
-            filters: vec!["triangle-inequality"],
             plan: None,
         }
     }
@@ -1017,16 +818,10 @@ enum Arm {
     ScanSorted,
     /// V8 bit-parallel sweep over the shared sorted view.
     ScanBitParallel,
-    /// Uncompressed prefix tree (modern pruning).
-    Trie(Trie),
     /// Compressed (radix) tree (modern pruning).
     Radix(RadixTrie),
     /// Inverted q-gram index (q = 2).
     Qgram(QgramIndex),
-    /// Length-bucketed scan.
-    Buckets(LengthBuckets),
-    /// Burkhard–Keller metric tree.
-    Bk(BkTree),
 }
 
 impl Arm {
@@ -1035,11 +830,8 @@ impl Arm {
             BackendChoice::ScanFlat => Arm::ScanFlat(standard_chain(dataset)),
             BackendChoice::ScanSorted => Arm::ScanSorted,
             BackendChoice::ScanBitParallel => Arm::ScanBitParallel,
-            BackendChoice::Trie => Arm::Trie(simsearch_index::trie::build(dataset)),
             BackendChoice::Radix => Arm::Radix(simsearch_index::radix::build(dataset)),
             BackendChoice::Qgram => Arm::Qgram(QgramIndex::build(dataset, 2)),
-            BackendChoice::Buckets => Arm::Buckets(LengthBuckets::build(dataset)),
-            BackendChoice::BkTree => Arm::Bk(BkTree::build(dataset)),
         }
     }
 }
@@ -1237,11 +1029,8 @@ impl RoutingCore {
             ),
             Arm::ScanSorted => v7_search_view(self.sorted_view(dataset), query, k),
             Arm::ScanBitParallel => v8_search_view(self.sorted_view(dataset), query, k),
-            Arm::Trie(t) => (t.search(query, k), 0),
             Arm::Radix(r) => (r.search(query, k), 0),
             Arm::Qgram(q) => (q.search(dataset, query, k), 0),
-            Arm::Buckets(b) => (b.search(dataset, query, k), 0),
-            Arm::Bk(t) => (t.search(dataset, query, k), 0),
         }
     }
 
@@ -1326,15 +1115,6 @@ impl RoutingCore {
         (matches, cells)
     }
 
-    /// The cheapest candidate's static cost.
-    pub(crate) fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.planner()
-            .candidates()
-            .iter()
-            .map(|&c| static_cost(snapshot, c, query_len, k))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Self-description under `name`, with the full plan report.
     pub(crate) fn diag(&self, name: String) -> BackendDiag {
         let planner = self.planner();
@@ -1364,17 +1144,8 @@ pub struct AutoBackend<'a> {
 }
 
 impl<'a> AutoBackend<'a> {
-    /// The default candidate set: the backends with distinct asymptotic
-    /// profiles and sub-quadratic build cost (the BK-tree's build —
-    /// one full distance per insert — rules it out at scale, and the
-    /// bucketed scan duplicates the flat scan's profile).
-    pub const DEFAULT_CANDIDATES: [BackendChoice; 5] = [
-        BackendChoice::ScanFlat,
-        BackendChoice::ScanSorted,
-        BackendChoice::ScanBitParallel,
-        BackendChoice::Radix,
-        BackendChoice::Qgram,
-    ];
+    /// The default candidate set: every arm the planner knows.
+    pub const DEFAULT_CANDIDATES: [BackendChoice; 5] = BackendChoice::ALL;
 
     /// Builds an auto backend with purely static (deterministic)
     /// planning over the default candidates.
@@ -1507,10 +1278,6 @@ impl Backend for AutoBackend<'_> {
             .search_top_k_with(self.dataset, query, count, max_radius)
     }
 
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        self.core.cost_hint(snapshot, query_len, k)
-    }
-
     fn diag(&self) -> BackendDiag {
         self.core.diag(self.name())
     }
@@ -1596,9 +1363,6 @@ mod tests {
             Box::new(RadixBackend::build(&ds, false, Strategy::Sequential)),
             Box::new(RadixBackend::build_with_freq(&ds, Strategy::Sequential)),
             Box::new(QgramBackend::build(&ds, 2, Strategy::Sequential)),
-            Box::new(BucketsBackend::build(&ds, Strategy::Sequential)),
-            Box::new(SuffixBackend::build(&ds, Strategy::Sequential)),
-            Box::new(BkBackend::build(&ds, Strategy::Sequential)),
             Box::new(AutoBackend::new(&ds, 1)),
             Box::new(AutoBackend::calibrated(&ds, 2, &w)),
         ];
@@ -1671,7 +1435,10 @@ mod tests {
         let ds = dataset();
         let auto = AutoBackend::new(&ds, 1);
         let snap = auto.planner().snapshot().clone();
-        let foreign = Planner::new(snap.clone(), &BackendChoice::ALL);
+        let foreign = Planner::new(
+            snap.clone(),
+            &[BackendChoice::ScanFlat, BackendChoice::Radix],
+        );
         assert!(!auto.set_planner(foreign), "candidate sets are fixed at build");
         assert_eq!(auto.plan_epoch(), 0);
         let same = Planner::new(snap, &AutoBackend::DEFAULT_CANDIDATES);

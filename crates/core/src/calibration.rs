@@ -18,7 +18,10 @@
 //! Arm identity crosses the disk boundary by *name* (the stable
 //! [`BackendChoice::name`] strings), not by enum discriminant, so a
 //! record written by a build with a different arm roster is rejected
-//! instead of silently mapping multipliers onto the wrong arms.
+//! instead of silently mapping multipliers onto the wrong arms. A file
+//! written by the earlier 8-arm build (which also listed `trie`,
+//! `buckets` and `bktree`) is such a record: it loads as `None`, and
+//! the daemon routes with the static table until it replans.
 
 use crate::planner::{BackendChoice, Planner};
 use simsearch_data::{Dataset, StatsSnapshot};
@@ -212,6 +215,36 @@ mod tests {
         reordered.arms.swap(0, 1);
         assert!(planner_from_record(
             &reordered,
+            planner.snapshot(),
+            &AutoBackend::DEFAULT_CANDIDATES
+        )
+        .is_none());
+        // A record from the 8-arm build, rows widened to match its
+        // roster: still a foreign roster, so static routing.
+        let old_roster = [
+            "scan-flat",
+            "scan-sorted",
+            "scan-bitparallel",
+            "trie",
+            "radix",
+            "qgram",
+            "buckets",
+            "bktree",
+        ];
+        let mut eight_arm = record.clone();
+        eight_arm.arms = old_roster.iter().map(|n| n.to_string()).collect();
+        let widen = |row: &[f64]| {
+            let mut wide = vec![1.0; old_roster.len()];
+            for (name, &m) in record.arms.iter().zip(row) {
+                let at = old_roster.iter().position(|n| n == name).unwrap();
+                wide[at] = m;
+            }
+            wide
+        };
+        eight_arm.class_multipliers = record.class_multipliers.iter().map(|r| widen(r)).collect();
+        eight_arm.topk_multipliers = widen(&record.topk_multipliers);
+        assert!(planner_from_record(
+            &eight_arm,
             planner.snapshot(),
             &AutoBackend::DEFAULT_CANDIDATES
         )

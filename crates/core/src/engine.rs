@@ -2,15 +2,14 @@
 //! extension) behind one build/search interface.
 //!
 //! Since the planner refactor the engine is a thin veneer over the
-//! [`Backend`](crate::backend::Backend) trait: `build` maps an
-//! [`EngineKind`] to one trait object, and every engine method
-//! delegates. Scan and index code paths are no longer parallel
-//! universes — the serving layer, the CLI, and the benches all run the
-//! same `Backend` methods the engine does.
+//! [`Backend`] trait: `build` maps an [`EngineKind`] to one trait
+//! object, and every engine method delegates. Scan and index code
+//! paths are no longer parallel universes — the serving layer, the CLI,
+//! and the benches all run the same `Backend` methods the engine does.
 
 use crate::backend::{
-    AutoBackend, Backend, BackendDiag, BkBackend, BucketsBackend, KernelScanBackend,
-    QgramBackend, RadixBackend, ScanBackend, SuffixBackend, TrieBackend,
+    AutoBackend, Backend, BackendDiag, KernelScanBackend, QgramBackend, RadixBackend,
+    ScanBackend, TrieBackend,
 };
 use crate::sharded::{ShardBy, ShardedBackend};
 use simsearch_data::{Dataset, MatchSet, Workload};
@@ -86,22 +85,6 @@ pub enum EngineKind {
     Qgram {
         /// Gram size.
         q: usize,
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// Length-bucketed scan (§6 "sorting" future work).
-    Buckets {
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// Suffix array with query partitioning (related work §2.3,
-    /// Navarro et al.).
-    Suffix {
-        /// Workload executor.
-        strategy: Strategy,
-    },
-    /// BK-tree metric index (Burkhard–Keller baseline).
-    Bk {
         /// Workload executor.
         strategy: Strategy,
     },
@@ -196,9 +179,6 @@ impl EngineKind {
             EngineKind::IndexModern(v) => format!("index-modern[{}]", v.label()),
             EngineKind::RadixFreq { strategy } => format!("index[freq/{}]", strategy.name()),
             EngineKind::Qgram { q, strategy } => format!("qgram[q={q}/{}]", strategy.name()),
-            EngineKind::Buckets { strategy } => format!("buckets[{}]", strategy.name()),
-            EngineKind::Suffix { strategy } => format!("suffix-array[{}]", strategy.name()),
-            EngineKind::Bk { strategy } => format!("bk-tree[{}]", strategy.name()),
             EngineKind::Auto { threads } => format!("auto[threads={threads}]"),
             EngineKind::Sharded {
                 shards,
@@ -247,9 +227,6 @@ pub fn build_backend<'a>(dataset: &'a Dataset, kind: EngineKind) -> Box<dyn Back
             Box::new(RadixBackend::build_with_freq(dataset, strategy))
         }
         EngineKind::Qgram { q, strategy } => Box::new(QgramBackend::build(dataset, q, strategy)),
-        EngineKind::Buckets { strategy } => Box::new(BucketsBackend::build(dataset, strategy)),
-        EngineKind::Suffix { strategy } => Box::new(SuffixBackend::build(dataset, strategy)),
-        EngineKind::Bk { strategy } => Box::new(BkBackend::build(dataset, strategy)),
         EngineKind::Auto { threads } => Box::new(AutoBackend::new(dataset, threads)),
         EngineKind::Sharded {
             shards,
@@ -438,15 +415,6 @@ mod tests {
             },
             EngineKind::Qgram {
                 q: 2,
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Buckets {
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Suffix {
-                strategy: Strategy::Sequential,
-            },
-            EngineKind::Bk {
                 strategy: Strategy::Sequential,
             },
             EngineKind::Auto { threads: 1 },

@@ -16,8 +16,7 @@
 //!   dump's calibration section, invalidated on dataset drift;
 //! * [`engine`] — [`engine::SearchEngine`] builds and runs any solution:
 //!   each scan rung (§3), each index rung (§4), and the extension
-//!   engines (frequency-annotated radix tree, q-gram index, length
-//!   buckets);
+//!   engines (frequency-annotated radix tree, q-gram index);
 //! * [`verify`] — cross-validation of engines against a reference
 //!   (§3.7 / §4.4 correctness methodology);
 //! * [`experiment`] — wall-clock measurement of 100/500/1,000-query

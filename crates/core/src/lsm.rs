@@ -52,9 +52,8 @@
 //! remove the frozen prefix or restructure the segment list under it.
 
 use crate::backend::{Backend, BackendDiag};
-use crate::planner::{static_cost, BackendChoice};
 use crate::sharded::{merge_match_sets, remap_to_global};
-use simsearch_data::{Dataset, MatchSet, RecordId, SortedView, StatsSnapshot};
+use simsearch_data::{Dataset, MatchSet, RecordId, SortedView};
 use simsearch_scan::{flat_search_where, v7_search_view, v8_search_view};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -692,12 +691,6 @@ impl Backend for LiveEngine {
 
     fn search_counting(&self, query: &[u8], k: u32) -> (MatchSet, u64) {
         self.search_snapshot(query, k)
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // The bulk of the data lives in sorted segments; the memtable
-        // rides on top as a small flat surcharge.
-        static_cost(snapshot, BackendChoice::ScanSorted, query_len, k)
     }
 
     fn diag(&self) -> BackendDiag {

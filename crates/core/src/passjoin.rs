@@ -323,7 +323,7 @@ fn min_segments_for(k: u32, cfg: MinJoinConfig) -> usize {
 /// config, with its [`JoinStats`].
 ///
 /// Exactness: a record whose partitioning carries at least
-/// [`min_segments_for`] segments keeps one segment fully intact —
+/// `min_segments_for` segments keeps one segment fully intact —
 /// content *and* both anchors — under any `k` edits, and that segment
 /// reappears in the partner record at a start position shifted by at
 /// most `k`; such pairs are caught by the shared-segment buckets.

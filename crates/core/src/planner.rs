@@ -37,7 +37,7 @@ pub const NUM_LEN_CLASSES: usize = 3;
 pub const MIN_CELL_OBSERVATIONS: u64 = 8;
 
 /// The execution backends the planner can choose among. Every variant
-/// maps to one implementation of the `Backend` trait.
+/// is an arm of the routing core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// Flat sequential scan over the arena (the V4+ rungs), candidates
@@ -48,30 +48,21 @@ pub enum BackendChoice {
     /// Bit-parallel sweep (V8): Myers blocks over the sorted arena,
     /// resumed at the LCP floor; cost is per word, independent of `k`.
     ScanBitParallel,
-    /// Uncompressed prefix tree with modern pruning.
-    Trie,
     /// Compressed (radix) tree with modern pruning.
     Radix,
     /// Inverted q-gram index (count filter + verification).
     Qgram,
-    /// Length-bucketed scan.
-    Buckets,
-    /// Burkhard–Keller metric tree.
-    BkTree,
 }
 
 impl BackendChoice {
     /// Every choice, in a fixed order (ties in the cost model resolve
     /// to the earlier entry).
-    pub const ALL: [BackendChoice; 8] = [
+    pub const ALL: [BackendChoice; 5] = [
         BackendChoice::ScanFlat,
         BackendChoice::ScanSorted,
         BackendChoice::ScanBitParallel,
-        BackendChoice::Trie,
         BackendChoice::Radix,
         BackendChoice::Qgram,
-        BackendChoice::Buckets,
-        BackendChoice::BkTree,
     ];
 
     /// Number of distinct choices.
@@ -83,11 +74,8 @@ impl BackendChoice {
             BackendChoice::ScanFlat => "scan-flat",
             BackendChoice::ScanSorted => "scan-sorted",
             BackendChoice::ScanBitParallel => "scan-bitparallel",
-            BackendChoice::Trie => "trie",
             BackendChoice::Radix => "radix",
             BackendChoice::Qgram => "qgram",
-            BackendChoice::Buckets => "buckets",
-            BackendChoice::BkTree => "bktree",
         }
     }
 
@@ -231,10 +219,8 @@ pub fn static_cost(
     // (cache misses) — the constant that makes tries lose on short
     // strings despite their pruning, exactly the paper's §5 story.
     const HOP_RADIX: f64 = 32.0;
-    const HOP_TRIE: f64 = 48.0;
     match choice {
         BackendChoice::ScanFlat => n * PROBE + cand * verify,
-        BackendChoice::Buckets => n * PROBE * 0.5 + cand * verify,
         BackendChoice::ScanSorted => n * (PROBE + 2.0) + cand * verify * (1.0 - shared),
         BackendChoice::ScanBitParallel => {
             // Myers word sweep over the sorted arena: the same one-time
@@ -252,9 +238,6 @@ pub fn static_cost(
         BackendChoice::Radix => {
             cand * prune * ((1.0 - shared) * verify + HOP_RADIX)
         }
-        BackendChoice::Trie => {
-            cand * prune * ((1.0 - shared) * verify * 1.5 + HOP_TRIE)
-        }
         BackendChoice::Qgram => {
             let gram_len = 2.0; // the workspace's q-gram baseline uses q = 2
             let distinct = sigma.powf(gram_len).min(n * (mean - 1.0).max(1.0)).max(1.0);
@@ -266,13 +249,6 @@ pub fn static_cost(
                 ((2.0 * k as f64 + 1.0) / grams_in_query).max(0.05)
             };
             merge + cand * sel * verify
-        }
-        BackendChoice::BkTree => {
-            // Full-width distance per visited node; triangle-inequality
-            // pruning decays toward a linear visit as k grows vs. the
-            // string length.
-            let exponent = (0.7 + 0.3 * (2.0 * k as f64 + 1.0) / mean).min(1.0);
-            n.powf(exponent) * ((q + 1.0) * (mean + 1.0) + 4.0)
         }
     }
 }
@@ -791,16 +767,11 @@ mod tests {
     #[test]
     fn static_model_reproduces_the_paper_crossover() {
         // Short large-alphabet strings: the flat scan's hint beats the
-        // tries'. Long small-alphabet strings: the radix tree's wins.
+        // radix tree's. Long small-alphabet strings: the radix tree's wins.
         let city = StatsSnapshot::compute(&presets::city(4000).dataset);
         let dna = StatsSnapshot::compute(&presets::dna(2000).dataset);
         let city_scan = static_cost(&city, BackendChoice::ScanFlat, 10, 2);
         let city_radix = static_cost(&city, BackendChoice::Radix, 10, 2);
-        let city_trie = static_cost(&city, BackendChoice::Trie, 10, 2);
-        assert!(
-            city_scan < city_trie,
-            "city: scan {city_scan} should beat trie {city_trie}"
-        );
         assert!(
             city_scan < city_radix,
             "city: scan {city_scan} should beat radix {city_radix}"

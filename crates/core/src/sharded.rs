@@ -6,8 +6,9 @@
 //! [`ShardBy::Hash`] content hashing). Each frozen shard is the same
 //! routing core that drives [`crate::AutoBackend`], over the shard's
 //! own materialized records and calibrated against that shard's own
-//! [`StatsSnapshot`]; each live shard is a [`LiveEngine`]. Queries fan
-//! out across shards via `simsearch_parallel`, and the per-shard
+//! [`StatsSnapshot`](simsearch_data::StatsSnapshot); each live shard
+//! is a [`LiveEngine`]. Queries fan out across shards via
+//! `simsearch_parallel`, and the per-shard
 //! [`MatchSet`]s are unioned with a k-way merge ([`merge_match_sets`])
 //! after remapping shard-local ids back to global ids
 //! ([`remap_to_global`]).
@@ -22,7 +23,7 @@
 use crate::backend::{AutoBackend, Backend, BackendDiag, RoutingCore};
 use crate::lsm::{LiveEngine, LiveStats, LsmConfig, MutableBackend};
 use crate::planner::BackendChoice;
-use simsearch_data::{Dataset, Match, MatchSet, RecordId, StatsSnapshot, Workload};
+use simsearch_data::{Dataset, Match, MatchSet, RecordId, Workload};
 use simsearch_parallel::{auto_strategy, run_queries, Strategy};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -32,7 +33,8 @@ use std::sync::Mutex;
 pub enum ShardBy {
     /// Contiguous length bands: records sorted by `(length, id)` and cut
     /// into `S` equal chunks, so each shard holds a narrow length range
-    /// and its planner sees a genuinely different [`StatsSnapshot`].
+    /// and its planner sees a genuinely different
+    /// [`StatsSnapshot`](simsearch_data::StatsSnapshot).
     Len,
     /// FNV-1a content hash modulo `S`: statistically uniform shards with
     /// near-identical snapshots (the load-balancing choice).
@@ -597,18 +599,6 @@ impl Backend for ShardedBackend {
         // override `run_with_strategy` below to parallelize across
         // queries instead (never both — no nested spawns).
         self.fan_out(query, k, auto_strategy(self.shards.len(), self.threads))
-    }
-
-    fn cost_hint(&self, snapshot: &StatsSnapshot, query_len: usize, k: u32) -> f64 {
-        // Shards run concurrently: the critical path is the costliest
-        // shard, not the sum.
-        self.shards
-            .iter()
-            .map(|s| match &s.engine {
-                ShardEngine::Frozen { core, .. } => core.cost_hint(snapshot, query_len, k),
-                ShardEngine::Live(engine) => engine.cost_hint(snapshot, query_len, k),
-            })
-            .fold(0.0, f64::max)
     }
 
     fn diag(&self) -> BackendDiag {

@@ -9,7 +9,7 @@
 //! all ⌈m/64⌉ block states (`pv`/`mv`) plus the running score at the
 //! last pattern row. Resuming at `shared_prefix` truncates the
 //! checkpoint stack and re-advances only the candidate's unshared
-//! suffix — one [`crate::myers_block::advance_block`] call per block per
+//! suffix — one `myers_block::advance_block` call per block per
 //! byte, i.e. 64 DP cells per word operation, on top of the LCP reuse
 //! that already skips the shared prefix entirely.
 //!

@@ -419,9 +419,6 @@ mod tests {
             (EngineKind::IndexModern(IdxVariant::I2Compressed), false, false, false),
             (EngineKind::RadixFreq { strategy: seq }, false, false, false),
             (EngineKind::Qgram { q: 2, strategy: seq }, false, false, false),
-            (EngineKind::Buckets { strategy: seq }, false, false, false),
-            (EngineKind::Suffix { strategy: seq }, false, false, false),
-            (EngineKind::Bk { strategy: seq }, false, false, false),
             (EngineKind::Auto { threads: 1 }, false, true, true),
             (EngineKind::Sharded { shards: 2, by: hash, threads: 1 }, false, true, false),
             (EngineKind::Live { memtable_cap: 2 }, true, true, false),

@@ -193,15 +193,6 @@ fn challenger_kinds() -> Vec<EngineKind> {
             q: 2,
             strategy: Strategy::Sequential,
         },
-        EngineKind::Buckets {
-            strategy: Strategy::Sequential,
-        },
-        EngineKind::Suffix {
-            strategy: Strategy::Sequential,
-        },
-        EngineKind::Bk {
-            strategy: Strategy::Sequential,
-        },
     ]
 }
 
@@ -211,8 +202,7 @@ fn challenger_kinds() -> Vec<EngineKind> {
 /// The reference is the paper's final scan rung
 /// ([`SeqVariant::V4Flat`]); challenged against it are the base scan,
 /// the V7 sorted-prefix scan, both trie rungs (paper and modern
-/// pruning), the q-gram index, length buckets, the suffix-array engine,
-/// and the BK-tree.
+/// pruning) and the q-gram index.
 pub fn assert_scan_index_equal(dataset: &Dataset, workload: &Workload) -> TestResult {
     let reference = SearchEngine::build(dataset, EngineKind::Scan(SeqVariant::V4Flat));
     let challengers: Vec<_> = challenger_kinds()

@@ -33,15 +33,6 @@ fn all_engine_kinds() -> Vec<EngineKind> {
         q: 3,
         strategy: Strategy::Adaptive { max_threads: 2 },
     });
-    kinds.push(EngineKind::Buckets {
-        strategy: Strategy::FixedPool { threads: 2 },
-    });
-    kinds.push(EngineKind::Suffix {
-        strategy: Strategy::Sequential,
-    });
-    kinds.push(EngineKind::Bk {
-        strategy: Strategy::Sequential,
-    });
     kinds
 }
 
